@@ -232,8 +232,9 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
         return _CERT_CACHE[n]
 
     levels: list[tuple[SymBrick, ...]] = []
+    complete = False
     if checkpoint and os.path.exists(checkpoint):
-        levels = _load_levels(checkpoint, n)
+        levels, complete = _load_levels(checkpoint, n)
         if progress is not None and levels:
             progress(f"resumed {len(levels)} levels from {checkpoint}")
     if not levels:
@@ -263,7 +264,7 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
         )
     archetypes = _extract_archetypes(levels[-1])
     cert = Certificate(n, tuple(levels), max_dim, archetypes)
-    if checkpoint:
+    if checkpoint and not complete:
         _write_summary(checkpoint, cert)
     _CERT_CACHE.setdefault(n, cert)
     return cert
@@ -294,27 +295,44 @@ def _write_summary(path: str, cert: Certificate) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
-def _load_levels(path: str, n: int) -> list[tuple[SymBrick, ...]]:
-    levels: list[tuple[SymBrick, ...]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
+    """The levels stored in a checkpoint, and whether it ends with the
+    summary.  A last line that does not parse, or lacks its newline, was
+    cut mid-write: it is dropped and the file truncated after the last
+    complete line, so the next append starts on a fresh line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    docs = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
             doc = json.loads(line)
-            if doc.get("complete"):
-                continue
-            if doc.get("n") != n:
-                raise ValueError(
-                    f"checkpoint {path} is for n={doc.get('n')}, wanted {n}"
-                )
-            d = doc["dimension"]
-            if d != len(levels):
-                raise ValueError(f"checkpoint {path} has levels out of order")
-            levels.append(tuple(
-                _symbrick_from_text(t) for t in doc["bricks"]
-            ))
-    return levels
+        except ValueError:
+            if i < len(lines) - 1:
+                raise
+            doc = None
+        if doc is None or not line.endswith(b"\n"):
+            with open(path, "r+b") as fh:
+                fh.truncate(sum(map(len, lines[:i])))
+            break
+        docs.append(doc)
+
+    levels: list[tuple[SymBrick, ...]] = []
+    for doc in docs:
+        if doc.get("complete"):
+            continue
+        if doc.get("n") != n:
+            raise ValueError(
+                f"checkpoint {path} is for n={doc.get('n')}, wanted {n}"
+            )
+        d = doc["dimension"]
+        if d != len(levels):
+            raise ValueError(f"checkpoint {path} has levels out of order")
+        levels.append(tuple(
+            _symbrick_from_text(t) for t in doc["bricks"]
+        ))
+    return levels, bool(docs and docs[-1].get("complete"))
 
 
 # ---------------------------------------------------------------------------

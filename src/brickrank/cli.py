@@ -2,8 +2,8 @@
 
 stdout carries the result (stable text, or JSON/CSV on request); progress
 and diagnostics go to stderr.  Exit codes: 0 success or positive decision,
-1 negative decision, 2 parse error, 3 refused by a size guard, 4 internal
-consistency failure.
+1 negative decision, 2 parse error or unreadable input, 3 refused by a
+size guard, 4 internal consistency failure.
 """
 
 import argparse
@@ -60,14 +60,17 @@ def _read_bricks(inline, path):
     """Proto-set from inline args or a file (JSON list or one per line)."""
     texts = list(inline or [])
     if path:
-        with open(path) as fh:
-            body = fh.read()
-        if body.lstrip().startswith("["):
-            texts.extend(str(t) for t in json.loads(body))
-        else:
-            texts.extend(
-                line.strip() for line in body.splitlines() if line.strip()
-            )
+        try:
+            with open(path) as fh:
+                body = fh.read()
+            if body.lstrip().startswith("["):
+                texts.extend(str(t) for t in json.loads(body))
+            else:
+                texts.extend(
+                    line.strip() for line in body.splitlines() if line.strip()
+                )
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise BrickParseError(f"cannot read {path}: {e}") from None
     if not texts:
         raise BrickParseError("no bricks given (arguments or --input)")
     return [parse_brick(t) for t in texts]
@@ -129,7 +132,7 @@ def cmd_maxrank(args) -> int:
     allow = _allow_big(args)
     if args.table:
         rows = maxrank_table(args.n_max, args.d_max, allow_big=allow,
-                             threads=args.threads, progress=_progress)
+                             progress=_progress)
         if args.format == "csv":
             sys.stdout.write(table_to_csv(rows, args.d_max))
         elif args.format == "json":
@@ -273,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full table n=1..n-max, d=2..d-max")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--d-max", type=int, default=8)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for --table (default: all cores)")
     p.add_argument("--allow-big", action="store_true",
                    help="override the size guard")
     _add_format(p, ("text", "csv", "json"))
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return 3
     except FactViolation as e:
         print(f"consistency failure: {e}", file=sys.stderr)
+        return 4
+    except RuntimeError as e:  # a constructed witness failed its check
+        print(f"internal error: {e}", file=sys.stderr)
         return 4
 
 

@@ -10,20 +10,21 @@ keeping the divisibility-minimal elements yields the finite set that
 decides tilability: a box T admits a signed tiling by the proto-set
 exactly when some minimal brick divides T.
 
-Two closure backends produce identical results.  The pure-Python one
-supports derivation tracing (needed to rebuild explicit tilings); the
-packed-bit one encodes each brick as one row of a uint8 matrix where
-meet is AND, join is OR and divisibility is bit subset, and runs the
-pair loop vectorized.  Mid-closure pruning (dropping any brick another
-brick divides) is on by default and does not change the minimal set,
-because combines are monotone in each argument; pass prune=False to
-cross-check.
+One closure engine computes the fixpoint.  It encodes each brick as a
+row of a uint8 matrix, where meet is AND, join is OR and divisibility
+is bit subset, and pairs every frontier row with every live row at
+once.  Each stored row remembers the pair of rows it came from, so a
+derivation trace (needed to rebuild explicit tilings) comes from the
+same run.  Mid-closure pruning (dropping any brick another brick
+divides) is on by default and does not change the minimal set, because
+combines are monotone in each argument; pass prune=False to
+cross-check.  minimal_elements and BrickAntichain.validate use the same
+packed subset test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import re
 
 import numpy as np
@@ -64,10 +65,6 @@ __all__ = [
     "render_brick",
     "brick_sort_key",
 ]
-
-# switch to the packed-bit backend above this many bricks
-_BITS_THRESHOLD = 24
-
 
 class BrickParseError(ValueError):
     """Malformed brick text."""
@@ -301,15 +298,18 @@ class _PhraseCodec:
 
 
 class _BrickCodec:
+    """A brick as one uint8 row: the side codes in order, zero-padded to
+    whole 64-bit words so that subset tests can run on a uint64 view."""
+
     def __init__(self, lat, bricks):
         self.dim = bricks[0].dim
         sides = [s for b in bricks for s in b.sides]
         self.side_codec = lat.make_codec(sides)
-        self.width = self.side_codec.nbytes * self.dim
+        self.width = -(-self.side_codec.nbytes * self.dim // 8) * 8
 
     def encode(self, b: Brick) -> np.ndarray:
         raw = b"".join(self.side_codec.encode(s) for s in b.sides)
-        return np.frombuffer(raw, dtype=np.uint8).copy()
+        return np.frombuffer(raw.ljust(self.width, b"\0"), dtype=np.uint8).copy()
 
     def decode(self, row: np.ndarray) -> Brick:
         nb = self.side_codec.nbytes
@@ -326,97 +326,65 @@ class _BrickCodec:
         return slice((delta - 1) * nb, delta * nb)
 
 
+def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """For each candidate, the number of rows that divide it (bit subset),
+    both given as uint64 word matrices; candidates go in chunks that keep
+    the temporaries near a quarter million words."""
+    cols = np.ascontiguousarray(rows.T)
+    out = np.empty(len(cands), dtype=np.int64)
+    step = max(1, (1 << 18) // rows.size)
+    for s in range(0, len(cands), step):
+        outside = ~cands[s:s + step].T
+        miss = cols[0] & outside[0, :, None]
+        for w in range(1, len(cols)):
+            miss |= cols[w] & outside[w, :, None]
+        out[s:s + step] = np.count_nonzero(miss == 0, axis=1)
+    return out
+
+
+def _packed(bricks) -> np.ndarray:
+    """One packed row of words per brick: divisibility is bit subset."""
+    _check_same_shape(bricks)
+    codec = _BrickCodec(lattice_of(bricks[0]), bricks)
+    return np.stack([codec.encode(b) for b in bricks]).view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
-# closure backends
+# the closure
 
 # cap on distinct bricks a single closure may generate; mostly relevant
 # with prune=False, where intermediate sets are not antichains
 _CLOSURE_CAP = 5_000_000
 
 
-def _closure_py(delta, bricks, lat, prune, trace):
-    """Worklist fixpoint under binary cix in one direction.
+def _closure(delta, bricks, lat, prune, trace):
+    """Fixpoint under binary cix in one direction, on packed rows.
 
-    Deterministic: iteration follows insertion order from canonically
-    sorted input.  When trace is a dict, every newly generated brick is
-    recorded as brick -> (delta, a, b).
+    Rows are stored once, in generation order, and never move: alive
+    marks the current live set and parents holds the pair of row
+    indices each generated row came from.  Every frontier row is paired
+    with every live row, AND on the delta field and OR elsewhere.  A
+    candidate is new when its bytes were not seen before; with pruning
+    it is kept only when no live row divides it, and it evicts the live
+    rows it divides.  When trace is a dict, every stored row that is
+    not an input is recorded as brick -> (delta, a, b), keeping any
+    derivation already there.
     """
-    start = sorted(set(bricks), key=brick_sort_key)
-    alive: dict[Brick, None] = dict.fromkeys(start)
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        a = stack.pop()
-        if a not in alive:
-            continue
-        for b in list(alive):
-            c = cix(delta, a, b)
-            if c in seen:
-                continue
-            seen.add(c)
-            if len(seen) > _CLOSURE_CAP:
-                raise GuardExceeded("closure exceeded the size cap")
-            if trace is not None:
-                trace[c] = (delta, a, b)
-            if prune:
-                if any(brick_divides(s, c) for s in alive):
-                    continue
-                for s in [s for s in alive if brick_divides(c, s)]:
-                    del alive[s]
-            alive[c] = None
-            stack.append(c)
-    return list(alive)
-
-
-def _closure_bits(delta, bricks, lat, prune):
-    """Vectorized fixpoint: bricks are uint8 rows, one pass per frontier
-    row pairs it against every live row with AND on the delta field and
-    OR elsewhere; pruning is two subset tests against the live matrix."""
     start = sorted(set(bricks), key=brick_sort_key)
     codec = _BrickCodec(lat, start)
     width, msl = codec.width, codec.coord_slice(delta)
 
-    cap = max(1024, 2 * len(start))
+    m = n0 = len(start)
+    cap = max(64, 2 * m)
     buf = np.zeros((cap, width), dtype=np.uint8)
+    buf[:m] = [codec.encode(b) for b in start]
     alive = np.zeros(cap, dtype=bool)
-    m = 0
-    seen: set[bytes] = set()
-    for b in start:
-        row = codec.encode(b)
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            buf[m] = row
-            alive[m] = True
-            m += 1
+    alive[:m] = True
+    words = buf.view(np.uint64)
+    seen = {buf[i].tobytes() for i in range(m)}
+    parents: list[tuple[int, int]] = []
+
     frontier = list(range(m))
-
-    def add_row(row) -> int | None:
-        nonlocal buf, alive, m, cap
-        key = row.tobytes()
-        if key in seen:
-            return None
-        seen.add(key)
-        if len(seen) > _CLOSURE_CAP:
-            raise GuardExceeded("closure exceeded the size cap")
-        if prune:
-            live = buf[:m]
-            anded = live & row
-            if ((anded == live).all(axis=1) & alive[:m]).any():
-                return None  # some live brick divides the candidate
-            dominated = (anded == row).all(axis=1) & alive[:m]
-            if dominated.any():
-                alive[:m][dominated] = False
-        if m == cap:
-            cap *= 2
-            buf = np.resize(buf, (cap, width))
-            alive = np.resize(alive, cap)
-            alive[m:] = False
-        buf[m] = row
-        alive[m] = True
-        m += 1
-        return m - 1
-
     while frontier:
         fresh: list[int] = []
         for i in frontier:
@@ -426,17 +394,52 @@ def _closure_bits(delta, bricks, lat, prune):
             live = buf[idx]
             cand = live | buf[i]
             cand[:, msl] = live[:, msl] & buf[i, msl]
-            for row in np.unique(cand, axis=0):
-                j = add_row(row)
-                if j is not None:
-                    fresh.append(j)
+            raw = cand.tobytes()
+            new = []
+            for k in range(len(idx)):
+                key = raw[k * width:(k + 1) * width]
+                if key not in seen:
+                    seen.add(key)
+                    new.append(k)
+            if len(seen) > _CLOSURE_CAP:
+                raise GuardExceeded("closure exceeded the size cap")
+            if prune and new:
+                # a brick live now that divides a candidate keeps a live
+                # divisor through later evictions, so dropping these here
+                # rejects only what the row-by-row test below would
+                hit = _divisor_counts(live.view(np.uint64),
+                                      cand[new].view(np.uint64))
+                new = [k for k, h in zip(new, hit.tolist()) if not h]
+            for k in new:
+                row = cand[k]
+                if prune:
+                    rows, word = words[:m], row.view(np.uint64)
+                    anded = rows & word
+                    live_mask = alive[:m]
+                    if ((anded == rows).all(axis=1) & live_mask).any():
+                        continue  # some live brick divides the candidate
+                    live_mask[(anded == word).all(axis=1)] = False
+                if m == cap:
+                    cap *= 2
+                    buf = np.resize(buf, (cap, width))
+                    words = buf.view(np.uint64)
+                    alive = np.resize(alive, cap)
+                    alive[m:] = False
+                buf[m] = row
+                alive[m] = True
+                parents.append((i, int(idx[k])))
+                fresh.append(m)
+                m += 1
         frontier = fresh
 
+    if trace is not None:
+        decoded = [codec.decode(buf[i]) for i in range(m)]
+        for c, (a, b) in enumerate(parents, start=n0):
+            trace.setdefault(decoded[c], (delta, decoded[a], decoded[b]))
     return [codec.decode(buf[i]) for i in np.flatnonzero(alive[:m])]
 
 
-def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None,
-            backend: str = "auto"):
+def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
     """Close a proto-set under cix in one direction: exactly the combines
     of its non-void subsets (minus pruned non-minimal ones when prune is
     on).  Returns bricks in canonical order."""
@@ -446,23 +449,12 @@ def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None,
     d = _check_same_shape(bl)
     if not 1 <= delta <= d:
         raise ValueError(f"direction {delta} outside 1..{d}")
-    lat = lattice_of(bl[0])
-    use_bits = backend == "bits" or (
-        backend == "auto" and trace is None and len(bl) >= _BITS_THRESHOLD
-    )
-    if backend not in ("auto", "py", "bits"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if use_bits and trace is not None:
-        raise ValueError("derivation tracing requires the py backend")
-    if use_bits:
-        out = _closure_bits(delta, bl, lat, prune)
-    else:
-        out = _closure_py(delta, bl, lat, prune, trace)
+    out = _closure(delta, bl, lattice_of(bl[0]), prune, trace)
     return sorted(out, key=brick_sort_key)
 
 
 def ext_all(bricks, prune: bool = True, trace: dict | None = None,
-            backend: str = "auto", progress=None):
+            progress=None):
     """One ext_dir pass per direction, in order.  The direction operators
     commute and are idempotent, so a single sweep reaches the fixpoint."""
     bl = list(bricks)
@@ -471,7 +463,7 @@ def ext_all(bricks, prune: bool = True, trace: dict | None = None,
     d = _check_same_shape(bl)
     cur = bl
     for delta in range(1, d + 1):
-        cur = ext_dir(delta, cur, prune=prune, trace=trace, backend=backend)
+        cur = ext_dir(delta, cur, prune=prune, trace=trace)
         if progress is not None:
             progress(f"direction {delta}/{d}: {len(cur)} bricks")
     return cur
@@ -503,26 +495,17 @@ class BrickAntichain:
         return b in (self._index or self.bricks)
 
     def validate(self) -> None:
-        """Raise if any two members are comparable (quadratic; vectorized
-        when a packed codec is available and the set is large)."""
+        """Raise if any two members are comparable (packed subset tests)."""
         bs = self.bricks
         if len(bs) <= 1:
             return
-        if len(bs) > 200:
-            lat = lattice_of(bs[0])
-            codec = _BrickCodec(lat, list(bs))
-            mat = np.stack([codec.encode(b) for b in bs])
-            for i in range(len(bs)):
-                sub = ((mat & mat[i]) == mat[i]).all(axis=1)
-                if int(sub.sum()) > 1:  # beyond brick i itself
-                    j = int(np.flatnonzero(sub)[0])
-                    j = j if j != i else int(np.flatnonzero(sub)[1])
-                    raise ValueError(f"not an antichain: {bs[i]} divides {bs[j]}")
-            return
-        for a in bs:
-            for b in bs:
-                if a is not b and brick_divides(a, b):
-                    raise ValueError(f"not an antichain: {a} divides {b}")
+        mat = _packed(bs)
+        over = np.flatnonzero(_divisor_counts(mat, mat) > 1)
+        if over.size:  # brick j has a divisor beyond itself
+            j = int(over[0])
+            i = next(i for i, b in enumerate(bs)
+                     if i != j and brick_divides(b, bs[j]))
+            raise ValueError(f"not an antichain: {bs[i]} divides {bs[j]}")
 
     def find_divisor(self, target: Brick) -> Brick | None:
         for m in self.bricks:
@@ -536,31 +519,17 @@ def minimal_elements(bricks) -> BrickAntichain:
     bl = sorted(set(bricks), key=brick_sort_key)
     if not bl:
         raise ValueError("minimal_elements of an empty set")
-    _check_same_shape(bl)
-    if len(bl) > 200:
-        lat = lattice_of(bl[0])
-        codec = _BrickCodec(lat, bl)
-        mat = np.stack([codec.encode(b) for b in bl])
-        keep = []
-        for i in range(len(bl)):
-            sub = ((mat & mat[i]) == mat).all(axis=1)
-            if int(sub.sum()) == 1:
-                keep.append(bl[i])
-        return BrickAntichain.of(keep)
-    keep = [
-        b for b in bl
-        if not any(a is not b and brick_divides(a, b) for a in bl)
-    ]
-    return BrickAntichain.of(keep)
+    mat = _packed(bl)
+    counts = _divisor_counts(mat, mat).tolist()
+    return BrickAntichain.of(b for b, c in zip(bl, counts) if c == 1)
 
 
 def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
-                backend: str = "auto", progress=None) -> BrickAntichain:
+                progress=None) -> BrickAntichain:
     """The minimal tilable set M(P): divisibility-minimal elements of the
     full combine closure.  Finite, an antichain, and the complete
     tilability criterion for P."""
-    closed = ext_all(bricks, prune=prune, trace=trace, backend=backend,
-                     progress=progress)
+    closed = ext_all(bricks, prune=prune, trace=trace, progress=progress)
     return minimal_elements(closed)
 
 

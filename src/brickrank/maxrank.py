@@ -11,7 +11,6 @@ d = 1 column is constant 1 because one gcd cube divides everything.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 import json
 
@@ -77,28 +76,21 @@ def geometric_maxrank(n: int, d: int, allow_big: bool = False,
 
 
 def maxrank_table(n_max: int, d_max: int, allow_big: bool = False,
-                  threads: int = 1, progress=None) -> list[list[int]]:
+                  progress=None) -> list[list[int]]:
     """Rows n = 1..n_max of geometric maxrank over columns d = 2..d_max."""
     if d_max < 2:
         raise ValueError(f"need d_max >= 2, got {d_max}")
     for nn in range(1, n_max + 1):
         _check_guard(nn, d_max, allow_big)
-    cells = [(nn, dd) for nn in range(1, n_max + 1) for dd in range(2, d_max + 1)]
-
-    def cell(nd):
-        nn, dd = nd
-        v = geometric_maxrank(nn, dd, allow_big=allow_big)
-        if progress is not None:
-            progress(f"maxrank({nn},{dd}) = {v}")
-        return v
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(cell, cells))
-    else:
-        values = [cell(nd) for nd in cells]
-    w = d_max - 1
-    return [values[i * w : (i + 1) * w] for i in range(n_max)]
+    rows = []
+    for nn in range(1, n_max + 1):
+        row = []
+        for dd in range(2, d_max + 1):
+            row.append(geometric_maxrank(nn, dd, allow_big=allow_big))
+            if progress is not None:
+                progress(f"maxrank({nn},{dd}) = {row[-1]}")
+        rows.append(row)
+    return rows
 
 
 def table_to_csv(rows: list[list[int]], d_max: int) -> str:

@@ -262,9 +262,7 @@ def _segment_multi(lengths: list[int]) -> tuple[int, list[tuple[int, int, int]]]
     tiles = [(0, 0, 1)]
     for i, ell in enumerate(lengths[1:], start=1):
         if g % ell == 0:
-            # the new length alone tiles nothing smaller; gcd unchanged
-            # only when ell divides g: then [0, ell) copies pack g? no:
-            # gcd(g, ell) = ell here, a single new tile suffices
+            # ell divides g, so gcd(g, ell) = ell: a single ell-tile suffices
             g = ell
             tiles = [(i, 0, 1)]
             continue
@@ -372,7 +370,7 @@ def tile_witness(protoset: list[Brick], target: Brick,
     """
     protos = tuple(dict.fromkeys(protoset))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
-    M = minimal_set(protos, trace=trace, backend="py")
+    M = minimal_set(protos, trace=trace)
     m = M.find_divisor(target)
     if m is None:
         return None

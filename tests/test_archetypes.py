@@ -127,6 +127,31 @@ def test_certificate_checkpoint_and_resume(tmp_path):
     assert resumed.archetypes == cert.archetypes
 
 
+def test_certificate_resumes_after_a_cut_write(tmp_path):
+    full = tmp_path / "full.jsonl"
+    cert = certificate(3, checkpoint=str(full))
+    text = full.read_text()
+    lines = text.splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    resumed = certificate(3, checkpoint=str(cut))
+    assert resumed.levels == cert.levels
+    assert resumed.archetypes == cert.archetypes
+    assert cut.read_text() == text
+    for line in cut.read_text().splitlines():
+        json.loads(line)
+
+
+def test_certificate_resume_of_finished_file_keeps_one_summary(tmp_path):
+    path = tmp_path / "done.jsonl"
+    certificate(3, checkpoint=str(path))
+    before = path.read_text()
+    certificate(3, checkpoint=str(path))
+    assert path.read_text() == before
+    docs = [json.loads(line) for line in before.splitlines()]
+    assert sum(1 for d in docs if d.get("complete")) == 1
+
+
 def test_certificate_checkpoint_rejects_other_n(tmp_path):
     p = tmp_path / "other.jsonl"
     certificate(2, checkpoint=str(p))

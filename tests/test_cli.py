@@ -3,6 +3,7 @@ import json
 import pytest
 
 import brickrank.cli as cli
+import brickrank.witness
 from brickrank.archetypes import FactViolation
 from brickrank.witness import verify_witness, witness_from_json
 
@@ -56,6 +57,21 @@ def test_minimal_set_input_file_json(capsys, tmp_path):
     assert out == "1x1\nrank 1\n"
 
 
+def test_minimal_set_missing_input_file(capsys, tmp_path):
+    code, out, err = run(capsys, "minimal-set", "--input",
+                         str(tmp_path / "absent.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_minimal_set_malformed_json_input(capsys, tmp_path):
+    f = tmp_path / "protos.json"
+    f.write_text('["25x3", "9x8"')
+    code, out, err = run(capsys, "minimal-set", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_minimal_set_symbolic(capsys):
     code, out, _ = run(capsys, "minimal-set", "(w)x(w)", "(x)x(x)")
     assert code == 0
@@ -99,6 +115,15 @@ def test_tilable_witness_output(capsys):
     assert code == 0
     w = witness_from_json(out)
     assert verify_witness(w)
+
+
+def test_failed_witness_check_maps_to_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(brickrank.witness, "verify_witness",
+                        lambda *args, **kwargs: False)
+    code, out, err = run(capsys, "tilable", "3x1", "3x8", "4x5", "7x3",
+                         "--witness")
+    assert (code, out) == (4, "")
+    assert "internal error" in err
 
 
 def test_tilable_witness_negative(capsys):

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from brickrank.dedekind import parse_phrase
+from brickrank.dedekind import enumerate_lattice, parse_phrase, phrase_key
 from brickrank.engine import (
     Brick,
     BrickAntichain,
@@ -12,6 +12,7 @@ from brickrank.engine import (
     DimensionMismatch,
     brick,
     brick_divides,
+    brick_sort_key,
     cix,
     comb,
     ext_all,
@@ -257,13 +258,71 @@ def test_ext_all_direction_order_irrelevant():
         assert all(r == results[0] for r in results)
 
 
-def test_backends_agree():
+def _reference_minimal_set(bricks):
+    """M(P) by a plain worklist: close under cix in every direction at
+    once, with no pruning, then keep the bricks nothing else divides."""
+    closed = set(bricks)
+    stack = list(closed)
+    d = bricks[0].dim
+    while stack:
+        a = stack.pop()
+        for b in list(closed):
+            for delta in range(1, d + 1):
+                c = cix(delta, a, b)
+                if c not in closed:
+                    closed.add(c)
+                    stack.append(c)
+    keep = [
+        b for b in closed
+        if not any(a != b and brick_divides(a, b) for a in closed)
+    ]
+    return tuple(sorted(keep, key=brick_sort_key))
+
+
+def _random_symbolic_bricks(rng, count, d, letters=3):
+    phrases = sorted(enumerate_lattice(letters), key=phrase_key)
+    return [Brick(tuple(rng.choice(phrases) for _ in range(d)))
+            for _ in range(count)]
+
+
+def test_minimal_set_matches_reference_closure():
     rng = random.Random(41)
     for _ in range(10):
         P = _random_bricks(rng, 5, 2, 60)
-        py = minimal_set(P, backend="py")
-        bits = minimal_set(P, backend="bits")
-        assert py.bricks == bits.bricks
+        assert minimal_set(P).bricks == _reference_minimal_set(P)
+    for _ in range(10):
+        P = _random_symbolic_bricks(rng, rng.randrange(2, 4), 2)
+        assert minimal_set(P).bricks == _reference_minimal_set(P)
+
+
+def _assert_trace_sound(P):
+    trace = {}
+    M = minimal_set(P, trace=trace)
+    for c, (delta, a, b) in trace.items():
+        assert cix(delta, a, b) == c
+    protos, done = set(P), set()
+
+    def walk(b, path):
+        # every derivation path ends in protos and never repeats a brick
+        if b in protos or b in done:
+            return
+        assert b not in path
+        _, left, right = trace[b]
+        walk(left, path | {b})
+        walk(right, path | {b})
+        done.add(b)
+
+    for m in M:
+        walk(m, frozenset())
+
+
+def test_trace_derivations_are_sound_and_acyclic():
+    for P in (FIG1, FIG2, ROTATION):
+        _assert_trace_sound(P)
+    rng = random.Random(45)
+    for _ in range(20):
+        d = rng.randrange(1, 4)
+        _assert_trace_sound(_random_bricks(rng, rng.randrange(1, 6), d, 40))
 
 
 # ---------------------------------------------------------------------------
