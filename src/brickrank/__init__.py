@@ -5,6 +5,7 @@ rank polynomials."""
 from .archetypes import (
     Archetype,
     Certificate,
+    CheckpointError,
     FactViolation,
     SymBrick,
     archetype_of,

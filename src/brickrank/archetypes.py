@@ -49,6 +49,7 @@ __all__ = [
     "Archetype",
     "Certificate",
     "FactViolation",
+    "CheckpointError",
     "envelope_of",
     "is_balanced",
     "true_dim",
@@ -73,6 +74,11 @@ __all__ = [
 
 class FactViolation(RuntimeError):
     """A structural fact the counting relies on failed to hold."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be resumed: another n, levels out
+    of order, or a bad line before its last."""
 
 
 def _pure_sum(letters) -> Phrase:
@@ -299,22 +305,23 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
     """The levels stored in a checkpoint, and whether it ends with the
     summary.  A last line that does not parse, or lacks its newline, was
     cut mid-write: it is dropped and the file truncated after the last
-    complete line, so the next append starts on a fresh line."""
+    complete line, so the next append starts on a fresh line.  A file
+    that cannot be resumed raises CheckpointError and is left as it is."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
     docs = []
+    cut = None
     for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
         except ValueError:
-            if i < len(lines) - 1:
-                raise
             doc = None
-        if doc is None or not line.endswith(b"\n"):
-            with open(path, "r+b") as fh:
-                fh.truncate(sum(map(len, lines[:i])))
+        if not isinstance(doc, dict) and i < len(lines) - 1:
+            raise CheckpointError(f"checkpoint {path} has a bad line {i + 1}")
+        if not isinstance(doc, dict) or not line.endswith(b"\n"):
+            cut = i
             break
         docs.append(doc)
 
@@ -323,15 +330,17 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
         if doc.get("complete"):
             continue
         if doc.get("n") != n:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint {path} is for n={doc.get('n')}, wanted {n}"
             )
-        d = doc["dimension"]
-        if d != len(levels):
-            raise ValueError(f"checkpoint {path} has levels out of order")
+        if doc.get("dimension") != len(levels):
+            raise CheckpointError(f"checkpoint {path} has levels out of order")
         levels.append(tuple(
             _symbrick_from_text(t) for t in doc["bricks"]
         ))
+    if cut is not None:
+        with open(path, "r+b") as fh:
+            fh.truncate(sum(map(len, lines[:cut])))
     return levels, bool(docs and docs[-1].get("complete"))
 
 

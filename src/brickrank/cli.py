@@ -2,16 +2,18 @@
 
 stdout carries the result (stable text, or JSON/CSV on request); progress
 and diagnostics go to stderr.  Exit codes: 0 success or positive decision,
-1 negative decision, 2 parse error or unreadable input, 3 refused by a
-size guard, 4 internal consistency failure.
+1 negative decision, 2 parse error, unreadable input or unusable
+checkpoint, 3 refused by a size guard, 4 internal consistency failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .archetypes import (
+    CheckpointError,
     FactViolation,
     certificate,
     lattice_maxrank,
@@ -241,6 +243,7 @@ def _add_format(p, choices=("text", "json")) -> None:
                    help="output format (default text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brickrank",
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
     try:
         return args.main(args)
     except (ParseError, PhraseParseError, BrickParseError,
-            DimensionMismatch) as e:
+            DimensionMismatch, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GuardExceeded as e:

@@ -12,15 +12,21 @@ only the signed sum matters.  Witnesses are built constructively:
     replaying the chain, substituting each parent's witness into the
     child's with offsets shifted and coefficients multiplied.
 
-verify_witness is the only normative check: a volume identity as a
-fast filter, then exact integer accumulation on the bounding grid.
+verify_witness is the only normative check.  The difference operator
+prod_j (1 - shift_j) sends the box [o, o + s) to its 2^d corners
+o + s*e, e in {0, 1}^d, with sign (-1)^(d - |e|), and it is injective
+on finitely supported functions.  So a witness is valid exactly when
+its signed corners cancel the target's: the polynomial identity
+sum c * x^o * prod_j (x_j^s_j - 1) = prod_j (x_j^t_j - 1) (Barnes 1982;
+Conway and Lagarias 1990).  The check works on exact integers and costs
+O(placements * 2^d), whatever the size of the boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 import json
-import math
 
 import numpy as np
 
@@ -47,9 +53,6 @@ __all__ = [
     "witness_from_json",
 ]
 
-_DEFAULT_MAX_CELLS = 10**7
-
-
 @dataclass(frozen=True)
 class Placement:
     """One signed tile: proto index, integer offset, nonzero coefficient."""
@@ -72,13 +75,6 @@ def _int_sides(b: Brick) -> tuple[int, ...]:
     if lattice_of(b) is not NAT_LATTICE:
         raise ValueError("witnesses need numeric bricks")
     return tuple(s.value for s in b.sides)
-
-
-def _volume(b: Brick) -> int:
-    v = 1
-    for s in _int_sides(b):
-        v *= s
-    return v
 
 
 def _merged(placements) -> tuple[Placement, ...]:
@@ -115,106 +111,60 @@ def _merged_arrays(proto: np.ndarray, offs: np.ndarray,
     return tuple(out)
 
 
-def verify_witness(w: TilingWitness, protos=None,
-                   max_cells: int = _DEFAULT_MAX_CELLS) -> bool:
+def _add_corners(acc: dict, offsets, sides, coeffs) -> None:
+    """Add coeff * x^offset * prod_j (x_j^sides_j - 1) to acc for every
+    box of the given sides, one corner pattern at a time."""
+    d = len(sides)
+    cols = [(lo, [o + s for o in lo]) for lo, s in zip(zip(*offsets), sides)]
+    signed = (coeffs, [-c for c in coeffs])
+    get = acc.get
+    for pick in product((0, 1), repeat=d):
+        keys = zip(*(col[e] for col, e in zip(cols, pick)))
+        for k, c in zip(keys, signed[(d - sum(pick)) % 2]):
+            acc[k] = get(k, 0) + c
+
+
+def verify_witness(w: TilingWitness, protos=None) -> bool:
     """Exact check that w is a signed tiling of its target.
 
-    Fast-fails on the volume identity, then accumulates coefficients on
-    the integer grid spanning all placements and the target: inside the
-    target every cell must sum to 1, outside to 0.  protos defaults to
-    the set carried by the witness itself.
+    Sums the signed corners of every placement, starting from the
+    target's corners negated: w is valid exactly when every corner
+    cancels.  No grid is built, so the size of the boxes does not
+    matter.  protos defaults to the set carried by the witness itself.
     """
     if protos is not None:
         w = TilingWitness(w.target, tuple(protos), w.placements)
     d = w.target.dim
     tsides = _int_sides(w.target)
     psides = [_int_sides(p) for p in w.protos]
-    pvols = [math.prod(s) for s in psides]
-
-    # one exact pass: shape validation, volume identity, bounding box
-    vol = 0
-    lo = [0] * d
-    hi = list(tsides)
-    for p in w.placements:
-        if p.proto < 0 or p.proto >= len(w.protos):
-            return False
-        if len(p.offset) != d or w.protos[p.proto].dim != d:
-            return False
-        vol += p.coeff * pvols[p.proto]
-        ps = psides[p.proto]
-        for j in range(d):
-            o = p.offset[j]
-            if o < lo[j]:
-                lo[j] = o
-            if o + ps[j] > hi[j]:
-                hi[j] = o + ps[j]
-    if vol != _volume(w.target):
+    used = {p.proto for p in w.placements}
+    if not used <= set(range(len(psides))):
         return False
-    cells = math.prod(hi[j] - lo[j] for j in range(d))
-    if cells > max_cells:
-        raise GuardExceeded(
-            f"verification grid has {cells} cells (> {max_cells}); "
-            "raise max_cells to force"
-        )
 
-    # accumulate coefficients per proto on the flattened grid
-    shape = [hi[j] - lo[j] for j in range(d)]
-    strides = np.array(
-        [math.prod(shape[j + 1:]) for j in range(d)], dtype=np.int64
-    )
-    flat = np.zeros(cells, dtype=np.int64)
-    n = len(w.placements)
-    pidx = np.fromiter((p.proto for p in w.placements), np.int64, n)
-    offs = np.array([p.offset for p in w.placements], np.int64).reshape(n, d)
-    offs -= np.array(lo, dtype=np.int64)
-    coeffs = np.fromiter((p.coeff for p in w.placements), np.int64, n)
-    for i, ps in enumerate(psides):
-        sel = np.flatnonzero(pidx == i)
-        if sel.size == 0:
-            continue
-        # flat positions of the proto box cells, then of each placement
-        box = np.zeros(1, dtype=np.int64)
-        for j in range(d):
-            step = np.arange(ps[j], dtype=np.int64) * strides[j]
-            box = (box[:, None] + step[None, :]).reshape(-1)
-        base = offs[sel] @ strides
-        csel = coeffs[sel]
-        chunk = max(1, 4_194_304 // box.size)
-        for s in range(0, sel.size, chunk):
-            idx = (base[s:s + chunk, None] + box[None, :]).reshape(-1)
-            np.add.at(flat, idx, np.repeat(csel[s:s + chunk], box.size))
-
-    grid = flat.reshape(shape)
-    inside = tuple(slice(-lo[j], -lo[j] + tsides[j]) for j in range(d))
-    if not (grid[inside] == 1).all():
-        return False
-    return int(np.abs(flat).sum()) == math.prod(tsides)
+    acc: dict[tuple[int, ...], int] = {}
+    _add_corners(acc, [(0,) * d], tsides, [-1])
+    for i in used:
+        ps = [p for p in w.placements if p.proto == i]
+        offsets = [p.offset for p in ps]
+        if len(psides[i]) != d or set(map(len, offsets)) != {d}:
+            return False
+        _add_corners(acc, offsets, psides[i], [p.coeff for p in ps])
+    return not any(acc.values())
 
 
-def parallel_pack(b: Brick, target: Brick, proto: int = 0,
-                  max_cells: int = _DEFAULT_MAX_CELLS) -> TilingWitness | None:
+def parallel_pack(b: Brick, target: Brick,
+                  proto: int = 0) -> TilingWitness | None:
     """The all-positive witness when b divides target: a full grid of
     translated copies, one per cell of the quotient box."""
     if not brick_divides(b, target):
         return None
     bs, ts = _int_sides(b), _int_sides(target)
     counts = [t // s for s, t in zip(bs, ts)]
-    placements = []
-    idx = [0] * len(counts)
-    while True:
-        placements.append(
-            Placement(proto, tuple(i * s for i, s in zip(idx, bs)), 1)
-        )
-        j = 0
-        while j < len(counts):
-            idx[j] += 1
-            if idx[j] < counts[j]:
-                break
-            idx[j] = 0
-            j += 1
-        if j == len(counts):
-            break
-    return _checked(TilingWitness(target, (b,), _merged(placements)), max_cells)
+    placements = [
+        Placement(proto, tuple(i * s for i, s in zip(idx, bs)), 1)
+        for idx in product(*map(range, counts))
+    ]
+    return _checked(TilingWitness(target, (b,), _merged(placements)))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -277,15 +227,14 @@ def _segment_multi(lengths: list[int]) -> tuple[int, list[tuple[int, int, int]]]
     return g, tiles
 
 
-def _checked(w: TilingWitness, max_cells: int = _DEFAULT_MAX_CELLS) -> TilingWitness:
+def _checked(w: TilingWitness) -> TilingWitness:
     """Constructors always self-verify; a failure here is a bug."""
-    if not verify_witness(w, max_cells=max_cells):
+    if not verify_witness(w):
         raise RuntimeError("internal error: constructed witness failed verification")
     return w
 
 
-def combine_witness(delta: int, bricks: list[Brick],
-                    max_cells: int = _DEFAULT_MAX_CELLS) -> TilingWitness:
+def combine_witness(delta: int, bricks: list[Brick]) -> TilingWitness:
     """A witness that the combine of bricks in direction delta is signed
     tilable by them: segment tiles along delta thickened to slabs of the
     joint lcm cross-section, each slab parallel-packed by its brick."""
@@ -299,33 +248,38 @@ def combine_witness(delta: int, bricks: list[Brick],
     for which, off, coeff in seg:
         bs = _int_sides(bricks[which])
         counts = [tsides[j] // bs[j] if j != k else 1 for j in range(d)]
-        idx = [0] * d
-        while True:
-            pos = tuple(
-                idx[j] * bs[j] + (off if j == k else 0) for j in range(d)
-            )
-            placements.append(Placement(which, pos, coeff))
-            j = 0
-            while j < d:
-                if j == k:
-                    j += 1
-                    continue
-                idx[j] += 1
-                if idx[j] < counts[j]:
-                    break
-                idx[j] = 0
-                j += 1
-            if j == d:
-                break
-    return _checked(TilingWitness(target, tuple(bricks), _merged(placements)),
-                    max_cells)
+        shift = [off if j == k else 0 for j in range(d)]
+        placements += [
+            Placement(which,
+                      tuple(i * s + o for i, s, o in zip(idx, bs, shift)),
+                      coeff)
+            for idx in product(*map(range, counts))
+        ]
+    return _checked(TilingWitness(target, tuple(bricks), _merged(placements)))
+
+
+def _magnitudes(placements) -> tuple[int, int]:
+    """The largest |offset entry| and the largest |coefficient|."""
+    return (max((abs(v) for p in placements for v in p.offset), default=0),
+            max((abs(p.coeff) for p in placements), default=0))
 
 
 def _substitute(outer: TilingWitness,
                 inner: dict[int, tuple[Placement, ...]],
                 protos: tuple[Brick, ...]) -> TilingWitness:
     """Replace each outer tile by the inner witness of its proto, shifted
-    by the tile offset and scaled by the tile coefficient."""
+    by the tile offset and scaled by the tile coefficient.
+
+    The arithmetic runs on int64 arrays, so the offset sums and
+    coefficient products are bounded first on exact integers."""
+    o_off, o_coeff = _magnitudes(outer.placements)
+    q_off, q_coeff = _magnitudes([q for pls in inner.values() for q in pls])
+    top = np.iinfo(np.int64).max
+    if o_off + q_off > top or o_coeff * q_coeff > top:
+        raise GuardExceeded(
+            f"substituted witness needs offsets up to {o_off + q_off} and "
+            f"coefficients up to {o_coeff * q_coeff}, beyond int64"
+        )
     d = outer.target.dim
     n = len(outer.placements)
     o_proto = np.fromiter((p.proto for p in outer.placements), np.int64, n)
@@ -358,15 +312,14 @@ def _substitute(outer: TilingWitness,
     return TilingWitness(outer.target, protos, merged)
 
 
-def tile_witness(protoset: list[Brick], target: Brick,
-                 max_cells: int = _DEFAULT_MAX_CELLS) -> TilingWitness | None:
+def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     """An explicit signed tiling of target by the proto-set, or None.
 
     Computes the minimal tilable set with derivation tracing, picks the
     first minimal brick dividing the target, rebuilds that brick's
     witness by replaying its combine derivations, and parallel-packs it
     into the target.  The result is always verified before being
-    returned (raising on the grid guard rather than skipping it).
+    returned.
     """
     protos = tuple(dict.fromkeys(protoset))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
@@ -385,16 +338,16 @@ def tile_witness(protoset: list[Brick], target: Brick,
         if b in memo:
             return memo[b]
         delta, pa, pb = trace[b]
-        local = combine_witness(delta, [pa, pb], max_cells=max_cells)
+        local = combine_witness(delta, [pa, pb])
         assert local.target == b
         inner = {0: expand(pa), 1: expand(pb)}
         full = _substitute(local, inner, protos)
         memo[b] = full.placements
         return full.placements
 
-    outer = parallel_pack(m, target, max_cells=max_cells)
+    outer = parallel_pack(m, target)
     w = _substitute(outer, {0: expand(m)}, protos)
-    return _checked(w, max_cells=max_cells)
+    return _checked(w)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,23 @@ def test_failed_witness_check_maps_to_exit_4(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_tilable_witness_beyond_any_grid(capsys):
+    code, out, _ = run(capsys, "tilable", "--witness",
+                       "4000x4000", "4000x4000")
+    assert code == 0
+    assert len(witness_from_json(out).placements) == 1
+    code, out, _ = run(capsys, "tilable", "--witness", "2^70x3", "2^70x1")
+    assert code == 0
+    assert verify_witness(witness_from_json(out))
+
+
+def test_tilable_witness_int64_overflow_is_a_guard(capsys):
+    code, out, err = run(capsys, "tilable", "--witness", "2^71x1", "2^70x1")
+    assert (code, out) == (3, "")
+    # the int64 bound of the construction, not a grid size, refuses it
+    assert err.startswith("guard:") and "int64" in err
+
+
 def test_tilable_witness_negative(capsys):
     code, out, _ = run(capsys, "tilable", "3x3", "2x2", "--witness")
     assert code == 1
@@ -244,6 +261,29 @@ def test_certificate_resume(capsys, tmp_path):
     assert code == 0
     assert "resumed" in err
     assert "max true dimension 1" in out.splitlines()
+
+
+def test_certificate_resume_of_other_n_exits_2(capsys, tmp_path):
+    path = tmp_path / "n2.jsonl"
+    assert run(capsys, "certificate", "2", "--output", str(path))[0] == 0
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert path.read_bytes() == before
+
+
+def test_certificate_resume_with_bad_inner_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "n3.jsonl"
+    assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert path.read_bytes() == before
 
 
 def test_certificate_json_matches_polynomial(capsys, tmp_path):

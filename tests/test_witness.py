@@ -2,9 +2,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from brickrank.engine import GuardExceeded, brick, minimal_set, render_brick
+from brickrank.engine import brick, minimal_set, parse_brick, render_brick
 from brickrank.witness import (
     Placement,
     TilingWitness,
@@ -61,7 +62,7 @@ def test_verify_rejects_shifted_placement():
     w = _hand_fig2_witness()
     ps = list(w.placements)
     ps[3] = Placement(1, (3, 7), 1)
-    # volume is unchanged, so the grid check must catch it
+    # volume is unchanged, so only the corners can catch it
     assert not verify_witness(TilingWitness(w.target, w.protos, tuple(ps)))
 
 
@@ -76,6 +77,15 @@ def test_verify_rejects_bad_proto_index():
     assert not verify_witness(w)
 
 
+def test_verify_rejects_wrong_dimension():
+    t = brick(2, 2)
+    # an offset with a third coordinate, and a proto of another dimension
+    assert not verify_witness(TilingWitness(t, (t,),
+                                            (Placement(0, (0, 0, 5), 1),)))
+    assert not verify_witness(TilingWitness(t, (brick(2, 2, 1),),
+                                            (Placement(0, (0, 0), 1),)))
+
+
 def test_verify_with_proto_override():
     w = _hand_fig2_witness()
     assert verify_witness(w, protos=FIG2)
@@ -83,13 +93,95 @@ def test_verify_with_proto_override():
     assert not verify_witness(w, protos=[FIG2[2], FIG2[1], FIG2[0]])
 
 
-def test_verify_grid_guard():
+def test_verify_needs_no_grid():
+    # a 4000x4000 grid was once too big to check; the corners are four
     side = 4000
     t = brick(side, side)
-    w = TilingWitness(t, (t,), (Placement(0, (0, 0), 1),))
-    with pytest.raises(GuardExceeded):
-        verify_witness(w)
-    assert verify_witness(w, max_cells=side * side)
+    assert verify_witness(TilingWitness(t, (t,), (Placement(0, (0, 0), 1),)))
+    # 2^70-long bricks: three stacked rows, then one of them shifted
+    w = TilingWitness(
+        parse_brick("2^70x3"), (parse_brick("2^70x1"),),
+        tuple(Placement(0, (0, j), 1) for j in range(3)),
+    )
+    assert verify_witness(w)
+    ps = list(w.placements)
+    ps[1] = Placement(0, (1, 1), 1)
+    assert not verify_witness(TilingWitness(w.target, w.protos, tuple(ps)))
+
+
+def _grid_oracle(w: TilingWitness) -> bool:
+    """Test-only reference: accumulate every placement on the integer
+    grid spanning all placements and the target; the target's cells
+    must sum to 1 and every other cell to 0."""
+    tsides = tuple(s.value for s in w.target.sides)
+    psides = [tuple(s.value for s in b.sides) for b in w.protos]
+    d = len(tsides)
+    for p in w.placements:
+        if not 0 <= p.proto < len(psides):
+            return False
+        if len(p.offset) != d or len(psides[p.proto]) != d:
+            return False
+    boxes = [((0,) * d, tsides, -1)] + [
+        (p.offset, psides[p.proto], p.coeff) for p in w.placements
+    ]
+    lo = [min(o[j] for o, _, _ in boxes) for j in range(d)]
+    hi = [max(o[j] + s[j] for o, s, _ in boxes) for j in range(d)]
+    grid = np.zeros([h - l for l, h in zip(lo, hi)], dtype=np.int64)
+    for o, s, c in boxes:
+        grid[tuple(slice(o[j] - lo[j], o[j] - lo[j] + s[j])
+                   for j in range(d))] += c
+    return not grid.any()
+
+
+def _random_witnesses(rng: random.Random, d: int):
+    """Valid witnesses from the constructors on small random bricks."""
+    for _ in range(12):
+        bricks = [
+            brick(*[rng.randrange(1, 7) for _ in range(d)])
+            for _ in range(rng.randrange(2, 4))
+        ]
+        yield combine_witness(rng.randrange(1, d + 1), bricks)
+        target = brick(*[rng.randrange(1, 9) for _ in range(d)])
+        w = tile_witness(bricks, target)
+        if w is not None:
+            yield w
+
+
+def _mutants(rng: random.Random, w: TilingWitness):
+    """(kind, placement, index): one placement of w edited, replacing
+    the placement at index."""
+    ps = list(w.placements)
+    i = rng.randrange(len(ps))
+    p = ps[i]
+    j = rng.randrange(len(p.offset))
+    off = list(p.offset)
+    off[j] += rng.choice((-1, 1))
+    yield "offset", Placement(p.proto, tuple(off), p.coeff), i
+    c = p.coeff + rng.choice((-1, 1))
+    yield "coeff", Placement(p.proto, p.offset, c), i
+    if len(w.protos) > 1:
+        other = rng.choice([k for k in range(len(w.protos)) if k != p.proto])
+        yield "proto", Placement(other, p.offset, p.coeff), i
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_verify_agrees_with_grid_oracle(d):
+    rng = random.Random(4000 + d)
+    count = 0
+    for w in _random_witnesses(rng, d):
+        assert verify_witness(w) and _grid_oracle(w)
+        for kind, q, i in _mutants(rng, w):
+            ps = list(w.placements)
+            ps[i] = q
+            m = TilingWitness(w.target, w.protos, tuple(ps))
+            got = verify_witness(m)
+            assert got == _grid_oracle(m)
+            # an edit that changes the signed sum can never verify
+            old = w.protos[w.placements[i].proto]
+            if kind != "proto" or w.protos[q.proto] != old:
+                assert not got
+            count += 1
+    assert count > 30
 
 
 # ---------------------------------------------------------------------------
