@@ -53,7 +53,6 @@ __all__ = [
     "envelope_of",
     "is_balanced",
     "true_dim",
-    "extend_brick",
     "rep_at_level",
     "symbrick_from_rep",
     "render_symbrick",
@@ -142,11 +141,6 @@ def is_balanced(b: SymBrick) -> bool:
 def true_dim(b: SymBrick) -> int:
     """Number of non-envelope sidelengths."""
     return sum(1 for s in b.prefix if s != b.envelope)
-
-
-def extend_brick(b: Brick) -> Brick:
-    """Append the envelope as one more coordinate."""
-    return Brick(b.sides + (envelope_of(b),))
 
 
 def rep_at_level(b: SymBrick, d: int) -> Brick:
@@ -285,8 +279,7 @@ def _write_level(path: str | None, n: int, d: int, bricks) -> None:
         "max_true_dim": max(true_dim(b) for b in bricks),
         "bricks": [render_symbrick(b, d, n if n > 4 else None) for b in bricks],
     }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _append(path, doc)
 
 
 def _write_summary(path: str, cert: Certificate) -> None:
@@ -297,8 +290,15 @@ def _write_summary(path: str, cert: Certificate) -> None:
         "levels": [len(l) for l in cert.levels],
         "archetypes": [render_archetype(a) for a in cert.archetypes],
     }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _append(path, doc)
+
+
+def _append(path: str, doc: dict) -> None:
+    try:
+        with open(path, "a") as fh:
+            fh.write(json.dumps(doc) + "\n")
+    except OSError as e:
+        raise CheckpointError(f"cannot write checkpoint {path}: {e}") from None
 
 
 def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
@@ -307,8 +307,11 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
     cut mid-write: it is dropped and the file truncated after the last
     complete line, so the next append starts on a fresh line.  A file
     that cannot be resumed raises CheckpointError and is left as it is."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
     docs = []
     cut = None
     for i, line in enumerate(lines):
@@ -339,8 +342,11 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
             _symbrick_from_text(t) for t in doc["bricks"]
         ))
     if cut is not None:
-        with open(path, "r+b") as fh:
-            fh.truncate(sum(map(len, lines[:cut])))
+        try:
+            with open(path, "r+b") as fh:
+                fh.truncate(sum(map(len, lines[:cut])))
+        except OSError as e:
+            raise CheckpointError(f"cannot truncate checkpoint {path}: {e}") from None
     return levels, bool(docs and docs[-1].get("complete"))
 
 

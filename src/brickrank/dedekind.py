@@ -34,7 +34,6 @@ __all__ = [
     "phrase_alphabet",
     "word_key",
     "phrase_key",
-    "cmp_phrase",
     "render_phrase",
     "parse_phrase",
     "enumerate_lattice",
@@ -134,13 +133,8 @@ def phrase_alphabet(a: Phrase) -> frozenset[int]:
 
 
 def phrase_key(a: Phrase) -> tuple:
-    """Sort key realizing cmp_phrase: word count, then the word list."""
+    """Sort key: word count, then the word list."""
     return (len(a.words), tuple(word_key(w) for w in a.words))
-
-
-def cmp_phrase(a: Phrase, b: Phrase) -> int:
-    ka, kb = phrase_key(a), phrase_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,20 @@
 A witness places integer-translated copies of proto-set bricks with
 integer coefficients so that the multiplicities sum to 1 on every cell
 of the target box and 0 outside it.  Tiles may overlap and stick out;
-only the signed sum matters.  Witnesses are built constructively:
+only the signed sum matters.  Witnesses are built straight into the
+target box T by one recursive builder on exact integers:
 
-  * a combine in direction delta reduces to a signed segment tiling of
-    the gcd by the delta-sides (extended Euclid, folded left to right),
-    with each segment tile thickened to a slab and parallel-packed;
-  * a minimal brick reached through a chain of combines is expanded by
-    replaying the chain, substituting each parent's witness into the
-    child's with offsets shifted and coefficients multiplied.
+  * a proto dividing T fills it with a full grid of copies;
+  * a brick b derived by a combine of a and a' in direction delta
+    dividing T reduces to a signed segment tiling of the whole delta
+    side of T by the delta-sides of a and a' (one extended-Euclid fold
+    at that length), with each segment tile thickened to a slab of T
+    and built from its parent the same way.
+
+So a multiple of a minimal brick is tiled directly, never by copying
+the brick's own witness into every cell.  A guard refuses any stage
+that would list more than _MAX_PLACEMENTS placements before it is
+allocated.
 
 verify_witness is the only normative check.  The difference operator
 prod_j (1 - shift_j) sends the box [o, o + s) to its 2^d corners
@@ -27,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 import json
-
-import numpy as np
+import math
 
 from .engine import (
     Brick,
     GuardExceeded,
     brick_divides,
+    cix,
     comb,
     lattice_of,
     minimal_set,
@@ -52,6 +58,11 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
 ]
+
+# The most placements one construction stage may list: a segment tiling,
+# a proto grid, or a node's placements before they are merged.
+_MAX_PLACEMENTS = 5_000_000
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -77,6 +88,13 @@ def _int_sides(b: Brick) -> tuple[int, ...]:
     return tuple(s.value for s in b.sides)
 
 
+def _guard(count: int, what: str) -> None:
+    if count > _MAX_PLACEMENTS:
+        raise GuardExceeded(
+            f"witness {what} needs {count} placements (> {_MAX_PLACEMENTS})"
+        )
+
+
 def _merged(placements) -> tuple[Placement, ...]:
     """Sum coefficients per (proto, offset), drop zeros, canonical order."""
     acc: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -88,27 +106,6 @@ def _merged(placements) -> tuple[Placement, ...]:
         for (proto, off), c in sorted(acc.items())
         if c != 0
     )
-
-
-def _merged_arrays(proto: np.ndarray, offs: np.ndarray,
-                   coeffs: np.ndarray) -> tuple[Placement, ...]:
-    """_merged on column arrays (proto, offset rows, coefficients)."""
-    if proto.size == 0:
-        return ()
-    keys = np.concatenate([proto[:, None], offs], axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    sums_in = coeffs[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(sums_in, starts)
-    keep = np.flatnonzero(sums != 0)
-    out = []
-    for row, c in zip(keys[starts[keep]].tolist(), sums[keep].tolist()):
-        out.append(Placement(row[0], tuple(row[1:]), c))
-    return tuple(out)
 
 
 def _add_corners(acc: dict, offsets, sides, coeffs) -> None:
@@ -152,19 +149,26 @@ def verify_witness(w: TilingWitness, protos=None) -> bool:
     return not any(acc.values())
 
 
+def _grid(proto: int, sides: tuple[int, ...],
+          box: tuple[int, ...]) -> tuple[Placement, ...]:
+    """Copies of a brick with the given sides, one per cell of the
+    quotient box, in canonical order; the sides divide box."""
+    counts = [t // s for s, t in zip(sides, box)]
+    _guard(math.prod(counts), f"grid of {'x'.join(map(str, counts))} copies")
+    return tuple(
+        Placement(proto, tuple(i * s for i, s in zip(idx, sides)), 1)
+        for idx in product(*map(range, counts))
+    )
+
+
 def parallel_pack(b: Brick, target: Brick,
                   proto: int = 0) -> TilingWitness | None:
     """The all-positive witness when b divides target: a full grid of
     translated copies, one per cell of the quotient box."""
     if not brick_divides(b, target):
         return None
-    bs, ts = _int_sides(b), _int_sides(target)
-    counts = [t // s for s, t in zip(bs, ts)]
-    placements = [
-        Placement(proto, tuple(i * s for i, s in zip(idx, bs)), 1)
-        for idx in product(*map(range, counts))
-    ]
-    return _checked(TilingWitness(target, (b,), _merged(placements)))
+    placements = _grid(proto, _int_sides(b), _int_sides(target))
+    return _checked(TilingWitness(target, (b,), placements))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -175,56 +179,65 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, v, u - (a // b) * v
 
 
-def _bezout_min(a: int, b: int) -> tuple[int, int, int]:
-    """Bezout pair with |u| minimal (ties to the positive residue)."""
-    g, u, v = _ext_gcd(a, b)
-    m = b // g
-    if m > 1:
-        u %= m  # now 0 <= u < m
-        if u > m - u:
-            u -= m
-        v = (g - u * a) // b
-    return g, u, v
+def _segment_pair(x: int, y: int, t: int) -> list[tuple[int, int, int]]:
+    """Signed tiling of [0, t) by translates of [0, x) and [0, y), for t
+    a multiple of gcd(x, y).
 
-
-def _segment_pair(x: int, y: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """Signed tiling of [0, gcd(x, y)) by translates of [0,x) and [0,y).
-
-    Returns (g, tiles) with tiles as (which, offset, coeff), which 0
-    for x and 1 for y.  With u*x + v*y = g and v <= 0 < u the positive
-    x-tiles cover [0, u*x) and the negative y-tiles cancel [g, u*x).
+    Returns tiles (which, offset, coeff), which 0 for x and 1 for y.
+    Takes u*x + v*y = t with |u| < y/g least (ties to u >= 0).  When u
+    and v are both >= 0 the tiles lie end to end; otherwise the positive
+    tiles overshoot t and the negative ones cancel the overshoot.
     """
-    g, u, v = _bezout_min(x, y)
-    tiles = []
+    g, u, _ = _ext_gcd(x, y)
+    m = y // g
+    u = u * (t // g) % m
+    if u > m - u:
+        u -= m
+    v = (t - u * x) // y
+    _guard(abs(u) + abs(v), f"segment tiling of {t} by {x} and {y}")
+    if u >= 0 and v >= 0:
+        return ([(0, i * x, 1) for i in range(u)]
+                + [(1, u * x + i * y, 1) for i in range(v)])
     if u > 0:
-        tiles += [(0, k * x, 1) for k in range(u)]
-        tiles += [(1, g + k * y, -1) for k in range(-v)]
-    else:
-        tiles += [(1, k * y, 1) for k in range(v)]
-        tiles += [(0, g + k * x, -1) for k in range(-u)]
-    return g, tiles
+        return ([(0, i * x, 1) for i in range(u)]
+                + [(1, t + i * y, -1) for i in range(-v)])
+    return ([(1, i * y, 1) for i in range(v)]
+            + [(0, t + i * x, -1) for i in range(-u)])
 
 
-def _segment_multi(lengths: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
-    """Fold _segment_pair over the lengths: a signed tiling of the
-    running gcd, tiles indexed by position in lengths."""
-    g = lengths[0]
-    tiles = [(0, 0, 1)]
-    for i, ell in enumerate(lengths[1:], start=1):
-        if g % ell == 0:
-            # ell divides g, so gcd(g, ell) = ell: a single ell-tile suffices
-            g = ell
-            tiles = [(i, 0, 1)]
-            continue
-        new_g, pair = _segment_pair(g, ell)
-        out = []
-        for which, off, c in pair:
-            if which == 0:
-                out += [(w2, off + o2, c * c2) for w2, o2, c2 in tiles]
-            else:
-                out.append((i, off, c))
-        g, tiles = new_g, out
-    return g, tiles
+def _build(protos: tuple[Brick, ...], trace: dict, b: Brick,
+           box: tuple[int, ...]) -> tuple[Placement, ...]:
+    """Merged placements of the protos tiling box, for a brick b that
+    divides box and is either a proto or has a derivation
+    trace[b] = (delta, a, a') with b = cix(delta, a, a')."""
+    base = {p: i for i, p in enumerate(protos)}
+    memo: dict[tuple[Brick, tuple[int, ...]], tuple[Placement, ...]] = {}
+
+    def build(b: Brick, box: tuple[int, ...]) -> tuple[Placement, ...]:
+        if (b, box) in memo:
+            return memo[b, box]
+        if b in base:
+            out = _grid(base[b], _int_sides(b), box)
+        else:
+            delta, *parents = trace[b]
+            k = delta - 1
+            sides = [_int_sides(p)[k] for p in parents]
+            tiles = _segment_pair(*sides, box[k])
+            slabs = [build(p, box[:k] + (s,) + box[k + 1:])
+                     for p, s in zip(parents, sides)]
+            _guard(sum(len(slabs[which]) for which, _, _ in tiles),
+                   f"slab sum for {render_brick(b)}")
+            out = _merged(
+                Placement(q.proto,
+                          q.offset[:k] + (q.offset[k] + off,)
+                          + q.offset[k + 1:],
+                          c * q.coeff)
+                for which, off, c in tiles for q in slabs[which]
+            )
+        memo[b, box] = out
+        return out
+
+    return build(b, box)
 
 
 def _checked(w: TilingWitness) -> TilingWitness:
@@ -236,90 +249,29 @@ def _checked(w: TilingWitness) -> TilingWitness:
 
 def combine_witness(delta: int, bricks: list[Brick]) -> TilingWitness:
     """A witness that the combine of bricks in direction delta is signed
-    tilable by them: segment tiles along delta thickened to slabs of the
-    joint lcm cross-section, each slab parallel-packed by its brick."""
+    tilable by them: the combine folded left to right, each step a
+    segment tiling along delta thickened to slabs of the target."""
     target = comb(delta, bricks)
-    tsides = _int_sides(target)
-    d = target.dim
-    k = delta - 1
-    g, seg = _segment_multi([_int_sides(b)[k] for b in bricks])
-    assert g == tsides[k]
-    placements = []
-    for which, off, coeff in seg:
-        bs = _int_sides(bricks[which])
-        counts = [tsides[j] // bs[j] if j != k else 1 for j in range(d)]
-        shift = [off if j == k else 0 for j in range(d)]
-        placements += [
-            Placement(which,
-                      tuple(i * s + o for i, s, o in zip(idx, bs, shift)),
-                      coeff)
-            for idx in product(*map(range, counts))
-        ]
-    return _checked(TilingWitness(target, tuple(bricks), _merged(placements)))
-
-
-def _magnitudes(placements) -> tuple[int, int]:
-    """The largest |offset entry| and the largest |coefficient|."""
-    return (max((abs(v) for p in placements for v in p.offset), default=0),
-            max((abs(p.coeff) for p in placements), default=0))
-
-
-def _substitute(outer: TilingWitness,
-                inner: dict[int, tuple[Placement, ...]],
-                protos: tuple[Brick, ...]) -> TilingWitness:
-    """Replace each outer tile by the inner witness of its proto, shifted
-    by the tile offset and scaled by the tile coefficient.
-
-    The arithmetic runs on int64 arrays, so the offset sums and
-    coefficient products are bounded first on exact integers."""
-    o_off, o_coeff = _magnitudes(outer.placements)
-    q_off, q_coeff = _magnitudes([q for pls in inner.values() for q in pls])
-    top = np.iinfo(np.int64).max
-    if o_off + q_off > top or o_coeff * q_coeff > top:
-        raise GuardExceeded(
-            f"substituted witness needs offsets up to {o_off + q_off} and "
-            f"coefficients up to {o_coeff * q_coeff}, beyond int64"
-        )
-    d = outer.target.dim
-    n = len(outer.placements)
-    o_proto = np.fromiter((p.proto for p in outer.placements), np.int64, n)
-    o_off = np.array([p.offset for p in outer.placements], np.int64)
-    o_off = o_off.reshape(n, d)
-    o_coeff = np.fromiter((p.coeff for p in outer.placements), np.int64, n)
-    missing = set(o_proto.tolist()) - set(inner)
-    if missing:
-        raise KeyError(min(missing))
-
-    parts = []
-    for key, pls in inner.items():
-        sel = np.flatnonzero(o_proto == key)
-        if sel.size == 0 or not pls:
-            continue
-        m = len(pls)
-        q_proto = np.fromiter((q.proto for q in pls), np.int64, m)
-        q_off = np.array([q.offset for q in pls], np.int64).reshape(m, d)
-        q_coeff = np.fromiter((q.coeff for q in pls), np.int64, m)
-        offs = (o_off[sel][:, None, :] + q_off[None, :, :]).reshape(-1, d)
-        coeffs = (o_coeff[sel][:, None] * q_coeff[None, :]).reshape(-1)
-        parts.append((np.tile(q_proto, sel.size), offs, coeffs))
-    if not parts:
-        return TilingWitness(outer.target, protos, ())
-    merged = _merged_arrays(
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
-    return TilingWitness(outer.target, protos, merged)
+    box = _int_sides(target)
+    trace: dict[Brick, tuple[int, Brick, Brick]] = {}
+    acc = bricks[0]
+    for b in bricks[1:]:
+        c = cix(delta, acc, b)
+        if c != acc:
+            trace[c] = (delta, acc, b)
+            acc = c
+    protos = tuple(bricks)
+    return _checked(TilingWitness(target, protos,
+                                  _build(protos, trace, acc, box)))
 
 
 def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     """An explicit signed tiling of target by the proto-set, or None.
 
     Computes the minimal tilable set with derivation tracing, picks the
-    first minimal brick dividing the target, rebuilds that brick's
-    witness by replaying its combine derivations, and parallel-packs it
-    into the target.  The result is always verified before being
-    returned.
+    first minimal brick dividing the target, and builds the target from
+    that brick's combine derivations.  The result is always verified
+    before being returned.
     """
     protos = tuple(dict.fromkeys(protoset))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
@@ -327,27 +279,8 @@ def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     m = M.find_divisor(target)
     if m is None:
         return None
-
-    base = {p: i for i, p in enumerate(protos)}
-    memo: dict[Brick, tuple[Placement, ...]] = {}
-
-    def expand(b: Brick) -> tuple[Placement, ...]:
-        """Witness of b in terms of the original protos."""
-        if b in base:
-            return (Placement(base[b], (0,) * b.dim, 1),)
-        if b in memo:
-            return memo[b]
-        delta, pa, pb = trace[b]
-        local = combine_witness(delta, [pa, pb])
-        assert local.target == b
-        inner = {0: expand(pa), 1: expand(pb)}
-        full = _substitute(local, inner, protos)
-        memo[b] = full.placements
-        return full.placements
-
-    outer = parallel_pack(m, target)
-    w = _substitute(outer, {0: expand(m)}, protos)
-    return _checked(w)
+    placements = _build(protos, trace, m, _int_sides(target))
+    return _checked(TilingWitness(target, protos, placements))
 
 
 # ---------------------------------------------------------------------------

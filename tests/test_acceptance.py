@@ -239,7 +239,7 @@ def _hand_witness():
     )
 
 
-@criterion(8, "constructed and hand-built witnesses verify on the grid, < 1 s")
+@criterion(8, "constructed and hand-built witnesses verify by the corner identity, < 1 s")
 def test_witness_soundness():
     t0 = time.perf_counter()
     w2 = tile_witness(FIG2, brick(3, 1))

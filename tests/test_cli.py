@@ -136,11 +136,22 @@ def test_tilable_witness_beyond_any_grid(capsys):
     assert verify_witness(witness_from_json(out))
 
 
-def test_tilable_witness_int64_overflow_is_a_guard(capsys):
-    code, out, err = run(capsys, "tilable", "--witness", "2^71x1", "2^70x1")
+def test_tilable_witness_offsets_beyond_int64(capsys):
+    code, out, _ = run(capsys, "tilable", "--witness", "2^71x1", "2^70x1")
+    assert code == 0
+    w = witness_from_json(out)
+    assert verify_witness(w)
+    assert max(p.offset[0] for p in w.placements) == 2**70
+
+
+@pytest.mark.parametrize("argv", [
+    ("1000000x1000000", "1x1"),       # a proto grid of 10^12 copies
+    ("2^70x1", "3x1", "5x1"),         # a segment tiling of 2^70 by 3 and 5
+])
+def test_tilable_witness_placement_guard(capsys, argv):
+    code, out, err = run(capsys, "tilable", "--witness", *argv)
     assert (code, out) == (3, "")
-    # the int64 bound of the construction, not a grid size, refuses it
-    assert err.startswith("guard:") and "int64" in err
+    assert err.startswith("guard:") and "placements" in err
 
 
 def test_tilable_witness_negative(capsys):
@@ -284,6 +295,20 @@ def test_certificate_resume_with_bad_inner_line_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert path.read_bytes() == before
+
+
+def test_certificate_resume_of_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "certificate", "2", "--resume", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_certificate_output_in_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "certificate", "2", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert not path.parent.exists()
 
 
 def test_certificate_json_matches_polynomial(capsys, tmp_path):

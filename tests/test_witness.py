@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ def test_tile_witness_fig1_big_target():
     w = tile_witness(FIG1, brick(34, 11))
     assert w is not None
     assert verify_witness(w)
+
+
+def test_tile_witness_fig1_multiples_are_tiled_directly():
+    t0 = time.perf_counter()
+    w = tile_witness(FIG1, brick(340, 110))
+    assert w is not None and verify_witness(w)
+    assert time.perf_counter() - t0 < 1.0
+    w = tile_witness(FIG1, brick(3400, 1100))
+    assert w is not None and verify_witness(w)
+    assert len(w.placements) < 10**6
 
 
 def test_tile_witness_none_when_untilable():
