@@ -39,7 +39,6 @@ from .engine import (
     brick_divides,
     cix,
     ext_dir,
-    minimal_elements,
     parse_brick,
     render_brick,
 )
@@ -183,10 +182,8 @@ def next_minimal_level(prev, d: int, progress=None) -> tuple[SymBrick, ...]:
     its envelope, close under the binary combine in coordinate d, keep
     the minimal elements."""
     reps = [rep_at_level(b, d) for b in prev]
-    closed = ext_dir(d, reps, prune=True)
-    mins = minimal_elements(closed)
     out = []
-    for rep in mins:
+    for rep in ext_dir(d, reps, prune=True):  # pruned: already minimal
         sb = symbrick_from_rep(rep)
         if not is_balanced(sb):
             raise FactViolation(f"unbalanced minimal brick at level {d}: {sb}")

@@ -10,21 +10,25 @@ keeping the divisibility-minimal elements yields the finite set that
 decides tilability: a box T admits a signed tiling by the proto-set
 exactly when some minimal brick divides T.
 
-One closure engine computes the fixpoint.  It encodes each brick as a
-row of a uint8 matrix, where meet is AND, join is OR and divisibility
-is bit subset, and pairs every frontier row with every live row at
-once.  Each stored row remembers the pair of rows it came from, so a
-derivation trace (needed to rebuild explicit tilings) comes from the
-same run.  Mid-closure pruning (dropping any brick another brick
-divides) is on by default and does not change the minimal set, because
-combines are monotone in each argument; pass prune=False to
-cross-check.  minimal_elements and BrickAntichain.validate use the same
-packed subset test.
+One closure engine computes the fixpoint.  It encodes each brick once
+as a row of 64-bit words, where meet is AND, join is OR and
+divisibility is bit subset, and runs every direction on those rows.  In
+a fixed direction cix is commutative, associative and idempotent, so
+the closure grows one input at a time: each input is combined with
+every live row in one numpy block.  With the trace on, each new row
+records the live row and the input it came from, so a derivation trace
+(needed to rebuild explicit tilings) comes from the same run.
+Mid-closure pruning (dropping any brick another brick divides) is on by
+default and does not change the minimal set, because combines are
+monotone in each argument; pass prune=False to cross-check.
+minimal_elements and BrickAntichain.validate use the same packed subset
+test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import re
 
 import numpy as np
@@ -299,7 +303,8 @@ class _PhraseCodec:
 
 class _BrickCodec:
     """A brick as one uint8 row: the side codes in order, zero-padded to
-    whole 64-bit words so that subset tests can run on a uint64 view."""
+    whole 64-bit words so that the closure and the subset tests can run
+    on a uint64 view."""
 
     def __init__(self, lat, bricks):
         self.dim = bricks[0].dim
@@ -311,9 +316,8 @@ class _BrickCodec:
         raw = b"".join(self.side_codec.encode(s) for s in b.sides)
         return np.frombuffer(raw.ljust(self.width, b"\0"), dtype=np.uint8).copy()
 
-    def decode(self, row: np.ndarray) -> Brick:
+    def decode(self, raw: bytes) -> Brick:
         nb = self.side_codec.nbytes
-        raw = row.tobytes()
         return Brick(
             tuple(
                 self.side_codec.decode(raw[i * nb : (i + 1) * nb])
@@ -321,9 +325,12 @@ class _BrickCodec:
             )
         )
 
-    def coord_slice(self, delta: int) -> slice:
+    def side_mask(self, delta: int) -> np.ndarray:
+        """The words of a row with every bit of side delta set."""
         nb = self.side_codec.nbytes
-        return slice((delta - 1) * nb, delta * nb)
+        row = np.zeros(self.width, dtype=np.uint8)
+        row[(delta - 1) * nb : delta * nb] = 0xFF
+        return row.view(np.uint64)
 
 
 def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -338,8 +345,13 @@ def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         miss = cols[0] & outside[0, :, None]
         for w in range(1, len(cols)):
             miss |= cols[w] & outside[w, :, None]
-        out[s:s + step] = np.count_nonzero(miss == 0, axis=1)
+        out[s:s + step] = (miss == 0).sum(axis=1)
     return out
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous uint64 word matrix."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
 
 
 def _packed(bricks) -> np.ndarray:
@@ -352,91 +364,91 @@ def _packed(bricks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the closure
 
-# cap on distinct bricks a single closure may generate; mostly relevant
-# with prune=False, where intermediate sets are not antichains
+# cap on the bricks a closure may hold at once, checked before a step's
+# new rows are appended; mostly relevant with prune=False, where the
+# held set is not an antichain
 _CLOSURE_CAP = 5_000_000
 
 
-def _closure(delta, bricks, lat, prune, trace):
-    """Fixpoint under binary cix in one direction, on packed rows.
+def _close(delta, rows, mask, prune, derived, inputs):
+    """Close distinct packed rows under cix in direction delta, whose
+    bits are set in mask, adding one input at a time.
 
-    Rows are stored once, in generation order, and never move: alive
-    marks the current live set and parents holds the pair of row
-    indices each generated row came from.  Every frontier row is paired
-    with every live row, AND on the delta field and OR elsewhere.  A
-    candidate is new when its bytes were not seen before; with pruning
-    it is kept only when no live row divides it, and it evicts the live
-    rows it divides.  When trace is a dict, every stored row that is
-    not an input is recorded as brick -> (delta, a, b), keeping any
-    derivation already there.
+    cix in a fixed direction is commutative, associative and idempotent,
+    so adding an input b to the closure C of the inputs before it gives
+    C + b + cix(C, b), and with pruning, by monotonicity, the minimal
+    elements of live + b + cix(live, b).  Each step is one block of
+    candidates.  Before any subset test, a live row m is skipped when m
+    divides cix(m, b) (m_delta within b_delta) or b does (b_delta within
+    m_delta); the rest are deduped by their bytes, those a live row or
+    another new row divides are rejected, and the live rows a new row
+    divides are evicted.  Without pruning every row not held yet is
+    kept.  Returns the live rows.  When derived is a list, each kept row
+    c = cix(m, b) whose bytes are not in inputs is appended to it as
+    (delta, c, m, b), rows as bytes.
     """
+    other = ~mask
+    live, row_keys = rows[:1], _row_keys(rows)
+    held = set(row_keys[:1])  # every row of live, without pruning
+    for b, bkey in zip(rows[1:], row_keys[1:]):
+        if prune:
+            if not (live & ~b).any(axis=1).all():
+                continue  # a live row divides b, and so every cix(m, b)
+            bm = b & mask
+            par = live[(live & (mask & ~b)).any(axis=1)
+                       & ((live & bm) != bm).any(axis=1)]
+        else:
+            if bkey in held:
+                continue  # the closure already holds b and cix(live, b)
+            par = live
+        # b leads the block, so row i > 0 is cix(par[i - 1], b)
+        block = np.vstack([b, (par & (b | other)) | (b & other)])
+        keys = _row_keys(block)
+        if prune:
+            pick = np.fromiter(dict(zip(keys, range(len(keys)))).values(),
+                               dtype=np.intp)
+            surv = block[pick]
+            pick = pick[_divisor_counts(np.vstack([live, surv]), surv) == 1]
+        else:
+            fresh = {k: i for i, k in enumerate(keys) if k not in held}
+            held.update(fresh)
+            pick = np.fromiter(fresh.values(), dtype=np.intp)
+        new = block[pick]
+        if prune and len(new):
+            live = live[_divisor_counts(new, live) == 0]
+        if len(live) + len(new) > _CLOSURE_CAP:
+            raise GuardExceeded("closure exceeded the size cap")
+        if derived is not None:
+            pkeys = _row_keys(par)
+            derived.extend((delta, keys[i], pkeys[i - 1], bkey)
+                           for i in pick.tolist()
+                           if i and keys[i] not in inputs)
+        live = np.vstack([live, new])
+    return live
+
+
+def _closure(bricks, deltas, prune, trace, progress=None):
+    """Close bricks in each direction of deltas in turn, on packed rows
+    under one codec: exponents and truth tables are closed under AND and
+    OR, so a codec built from the inputs encodes every combine.  Trace
+    entries go in the order the rows were made, keeping any derivation
+    already there, and never name an input of this or an earlier pass."""
     start = sorted(set(bricks), key=brick_sort_key)
-    codec = _BrickCodec(lat, start)
-    width, msl = codec.width, codec.coord_slice(delta)
-
-    m = n0 = len(start)
-    cap = max(64, 2 * m)
-    buf = np.zeros((cap, width), dtype=np.uint8)
-    buf[:m] = [codec.encode(b) for b in start]
-    alive = np.zeros(cap, dtype=bool)
-    alive[:m] = True
-    words = buf.view(np.uint64)
-    seen = {buf[i].tobytes() for i in range(m)}
-    parents: list[tuple[int, int]] = []
-
-    frontier = list(range(m))
-    while frontier:
-        fresh: list[int] = []
-        for i in frontier:
-            if not alive[i]:
-                continue
-            idx = np.flatnonzero(alive[:m])
-            live = buf[idx]
-            cand = live | buf[i]
-            cand[:, msl] = live[:, msl] & buf[i, msl]
-            raw = cand.tobytes()
-            new = []
-            for k in range(len(idx)):
-                key = raw[k * width:(k + 1) * width]
-                if key not in seen:
-                    seen.add(key)
-                    new.append(k)
-            if len(seen) > _CLOSURE_CAP:
-                raise GuardExceeded("closure exceeded the size cap")
-            if prune and new:
-                # a brick live now that divides a candidate keeps a live
-                # divisor through later evictions, so dropping these here
-                # rejects only what the row-by-row test below would
-                hit = _divisor_counts(live.view(np.uint64),
-                                      cand[new].view(np.uint64))
-                new = [k for k, h in zip(new, hit.tolist()) if not h]
-            for k in new:
-                row = cand[k]
-                if prune:
-                    rows, word = words[:m], row.view(np.uint64)
-                    anded = rows & word
-                    live_mask = alive[:m]
-                    if ((anded == rows).all(axis=1) & live_mask).any():
-                        continue  # some live brick divides the candidate
-                    live_mask[(anded == word).all(axis=1)] = False
-                if m == cap:
-                    cap *= 2
-                    buf = np.resize(buf, (cap, width))
-                    words = buf.view(np.uint64)
-                    alive = np.resize(alive, cap)
-                    alive[m:] = False
-                buf[m] = row
-                alive[m] = True
-                parents.append((i, int(idx[k])))
-                fresh.append(m)
-                m += 1
-        frontier = fresh
-
+    codec = _BrickCodec(lattice_of(start[0]), start)
+    rows = np.stack([codec.encode(b) for b in start]).view(np.uint64)
+    derived = [] if trace is not None else None
+    inputs = set(_row_keys(rows)) if trace is not None else None
+    for delta in deltas:
+        rows = _close(delta, rows, codec.side_mask(delta), prune, derived, inputs)
+        if trace is not None:
+            inputs.update(_row_keys(rows))
+        if progress is not None:
+            progress(f"direction {delta}/{codec.dim}: {len(rows)} bricks")
+    decode = functools.cache(codec.decode)
     if trace is not None:
-        decoded = [codec.decode(buf[i]) for i in range(m)]
-        for c, (a, b) in enumerate(parents, start=n0):
-            trace.setdefault(decoded[c], (delta, decoded[a], decoded[b]))
-    return [codec.decode(buf[i]) for i in np.flatnonzero(alive[:m])]
+        for delta, c, a, b in derived:
+            trace.setdefault(decode(c), (delta, decode(a), decode(b)))
+    return sorted(map(decode, _row_keys(rows)), key=brick_sort_key)
 
 
 def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
@@ -449,24 +461,18 @@ def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
     d = _check_same_shape(bl)
     if not 1 <= delta <= d:
         raise ValueError(f"direction {delta} outside 1..{d}")
-    out = _closure(delta, bl, lattice_of(bl[0]), prune, trace)
-    return sorted(out, key=brick_sort_key)
+    return _closure(bl, (delta,), prune, trace)
 
 
 def ext_all(bricks, prune: bool = True, trace: dict | None = None,
             progress=None):
-    """One ext_dir pass per direction, in order.  The direction operators
+    """One closure pass per direction, in order.  The direction operators
     commute and are idempotent, so a single sweep reaches the fixpoint."""
     bl = list(bricks)
     if not bl:
         raise ValueError("ext_all of an empty proto-set")
     d = _check_same_shape(bl)
-    cur = bl
-    for delta in range(1, d + 1):
-        cur = ext_dir(delta, cur, prune=prune, trace=trace)
-        if progress is not None:
-            progress(f"direction {delta}/{d}: {len(cur)} bricks")
-    return cur
+    return _closure(bl, range(1, d + 1), prune, trace, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +536,8 @@ def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
     full combine closure.  Finite, an antichain, and the complete
     tilability criterion for P."""
     closed = ext_all(bricks, prune=prune, trace=trace, progress=progress)
-    return minimal_elements(closed)
+    # a pruned closure is already the antichain of its minimal elements
+    return BrickAntichain.of(closed) if prune else minimal_elements(closed)
 
 
 def rank(bricks) -> int:

@@ -95,17 +95,11 @@ def _guard(count: int, what: str) -> None:
         )
 
 
-def _merged(placements) -> tuple[Placement, ...]:
-    """Sum coefficients per (proto, offset), drop zeros, canonical order."""
-    acc: dict[tuple[int, tuple[int, ...]], int] = {}
-    for p in placements:
-        k = (p.proto, p.offset)
-        acc[k] = acc.get(k, 0) + p.coeff
-    return tuple(
-        Placement(proto, off, c)
-        for (proto, off), c in sorted(acc.items())
-        if c != 0
-    )
+def _placements(acc: dict) -> tuple[Placement, ...]:
+    """Placements of a (proto, offset) -> coeff sum: zeros dropped,
+    canonical order."""
+    return tuple(Placement(proto, off, c)
+                 for (proto, off), c in sorted(acc.items()) if c)
 
 
 def _add_corners(acc: dict, offsets, sides, coeffs) -> None:
@@ -149,25 +143,22 @@ def verify_witness(w: TilingWitness, protos=None) -> bool:
     return not any(acc.values())
 
 
-def _grid(proto: int, sides: tuple[int, ...],
-          box: tuple[int, ...]) -> tuple[Placement, ...]:
-    """Copies of a brick with the given sides, one per cell of the
-    quotient box, in canonical order; the sides divide box."""
+def _grid(sides: tuple[int, ...], box: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Offsets of copies of a brick with the given sides, one per cell of
+    the quotient box, in canonical order; the sides divide box."""
     counts = [t // s for s, t in zip(sides, box)]
     _guard(math.prod(counts), f"grid of {'x'.join(map(str, counts))} copies")
-    return tuple(
-        Placement(proto, tuple(i * s for i, s in zip(idx, sides)), 1)
-        for idx in product(*map(range, counts))
-    )
+    return [tuple(i * s for i, s in zip(idx, sides))
+            for idx in product(*map(range, counts))]
 
 
-def parallel_pack(b: Brick, target: Brick,
-                  proto: int = 0) -> TilingWitness | None:
+def parallel_pack(b: Brick, target: Brick) -> TilingWitness | None:
     """The all-positive witness when b divides target: a full grid of
     translated copies, one per cell of the quotient box."""
     if not brick_divides(b, target):
         return None
-    placements = _grid(proto, _int_sides(b), _int_sides(target))
+    placements = tuple(Placement(0, off, 1)
+                       for off in _grid(_int_sides(b), _int_sides(target)))
     return _checked(TilingWitness(target, (b,), placements))
 
 
@@ -209,35 +200,38 @@ def _build(protos: tuple[Brick, ...], trace: dict, b: Brick,
            box: tuple[int, ...]) -> tuple[Placement, ...]:
     """Merged placements of the protos tiling box, for a brick b that
     divides box and is either a proto or has a derivation
-    trace[b] = (delta, a, a') with b = cix(delta, a, a')."""
+    trace[b] = (delta, a, a') with b = cix(delta, a, a').  Each node
+    sums (proto, offset) -> coeff in one dict; Placements are made once,
+    at the end."""
     base = {p: i for i, p in enumerate(protos)}
-    memo: dict[tuple[Brick, tuple[int, ...]], tuple[Placement, ...]] = {}
+    memo: dict[tuple[Brick, tuple[int, ...]], dict] = {}
 
-    def build(b: Brick, box: tuple[int, ...]) -> tuple[Placement, ...]:
+    def build(b: Brick, box: tuple[int, ...]) -> dict:
         if (b, box) in memo:
             return memo[b, box]
         if b in base:
-            out = _grid(base[b], _int_sides(b), box)
+            i = base[b]
+            out = {(i, off): 1 for off in _grid(_int_sides(b), box)}
         else:
             delta, *parents = trace[b]
             k = delta - 1
             sides = [_int_sides(p)[k] for p in parents]
             tiles = _segment_pair(*sides, box[k])
-            slabs = [build(p, box[:k] + (s,) + box[k + 1:])
+            slabs = [build(p, box[:k] + (s,) + box[k + 1:]).items()
                      for p, s in zip(parents, sides)]
             _guard(sum(len(slabs[which]) for which, _, _ in tiles),
                    f"slab sum for {render_brick(b)}")
-            out = _merged(
-                Placement(q.proto,
-                          q.offset[:k] + (q.offset[k] + off,)
-                          + q.offset[k + 1:],
-                          c * q.coeff)
-                for which, off, c in tiles for q in slabs[which]
-            )
+            acc: dict[tuple[int, tuple[int, ...]], int] = {}
+            get = acc.get
+            for which, shift, c in tiles:
+                for (i, off), q in slabs[which]:
+                    key = (i, off[:k] + (off[k] + shift,) + off[k + 1:])
+                    acc[key] = get(key, 0) + c * q
+            out = {key: c for key, c in acc.items() if c}
         memo[b, box] = out
         return out
 
-    return build(b, box)
+    return _placements(build(b, box))
 
 
 def _checked(w: TilingWitness) -> TilingWitness:
@@ -302,10 +296,8 @@ def witness_to_json(w: TilingWitness) -> str:
 def witness_from_json(text: str) -> TilingWitness:
     doc = json.loads(text)
     protos = tuple(parse_brick(t) for t in doc["protos"])
-    placements = tuple(
-        Placement(int(p["proto"]), tuple(int(v) for v in p["offset"]),
-                  int(p["coeff"]))
-        for p in doc["placements"]
-    )
-    return TilingWitness(parse_brick(doc["target"]), protos,
-                         _merged(placements))
+    acc: dict[tuple[int, tuple[int, ...]], int] = {}
+    for p in doc["placements"]:
+        key = (int(p["proto"]), tuple(int(v) for v in p["offset"]))
+        acc[key] = acc.get(key, 0) + int(p["coeff"])
+    return TilingWitness(parse_brick(doc["target"]), protos, _placements(acc))

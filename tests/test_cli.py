@@ -3,6 +3,7 @@ import json
 import pytest
 
 import brickrank.cli as cli
+import brickrank.engine
 import brickrank.witness
 from brickrank.archetypes import FactViolation
 from brickrank.witness import verify_witness, witness_from_json
@@ -82,6 +83,14 @@ def test_minimal_set_no_prune_same_answer(capsys):
     code1, out1, _ = run(capsys, "minimal-set", "6x10", "15x4")
     code2, out2, _ = run(capsys, "minimal-set", "6x10", "15x4", "--no-prune")
     assert (code1, out1) == (code2, out2)
+
+
+def test_minimal_set_no_prune_closure_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
+    code, out, err = run(capsys, "minimal-set", "--no-prune",
+                         "2x3x7", "3x7x2", "7x2x3")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: ")
 
 
 def test_minimal_set_parse_error(capsys):
@@ -170,6 +179,14 @@ def test_maxrank_single(capsys):
     assert (code, out) == (0, "18\n")
     code, out, _ = run(capsys, "maxrank", "1", "5")
     assert (code, out) == (0, "1\n")
+
+
+def test_maxrank_progress_lines(capsys):
+    code, out, err = run(capsys, "maxrank", "4", "3")
+    assert (code, out) == (0, "578\n")
+    assert err.splitlines() == ["direction 1/3: 15 bricks",
+                                "direction 2/3: 166 bricks",
+                                "direction 3/3: 578 bricks"]
 
 
 def test_maxrank_single_json(capsys):

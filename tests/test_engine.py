@@ -4,12 +4,14 @@ from itertools import combinations, permutations
 
 import pytest
 
+import brickrank.engine
 from brickrank.dedekind import enumerate_lattice, parse_phrase, phrase_key
 from brickrank.engine import (
     Brick,
     BrickAntichain,
     BrickParseError,
     DimensionMismatch,
+    GuardExceeded,
     brick,
     brick_divides,
     brick_sort_key,
@@ -315,6 +317,17 @@ def _assert_trace_sound(P):
     for m in M:
         walk(m, frozenset())
 
+    assert not protos & set(trace)
+    for delta in range(1, P[0].dim + 1):
+        # a pass records no entry for its own inputs, not even on a closed
+        # input set, where every combine it makes is one of them
+        closed = ext_dir(delta, P, prune=False)
+        for inputs in (P, closed):
+            for prune in (True, False):
+                one = {}
+                ext_dir(delta, inputs, prune=prune, trace=one)
+                assert not set(inputs) & set(one)
+
 
 def test_trace_derivations_are_sound_and_acyclic():
     for P in (FIG1, FIG2, ROTATION):
@@ -323,6 +336,28 @@ def test_trace_derivations_are_sound_and_acyclic():
     for _ in range(20):
         d = rng.randrange(1, 4)
         _assert_trace_sound(_random_bricks(rng, rng.randrange(1, 6), d, 40))
+
+
+def test_ext_dir_agrees_across_prune_and_trace():
+    rng = random.Random(46)
+    sets = [_random_bricks(rng, rng.randrange(2, 7), rng.randrange(1, 4), 60)
+            for _ in range(20)]
+    sets += [_random_symbolic_bricks(rng, rng.randrange(2, 5),
+                                     rng.randrange(1, 4), rng.choice((3, 4)))
+             for _ in range(10)]
+    for P in sets:
+        for delta in range(1, P[0].dim + 1):
+            pruned = ext_dir(delta, P)
+            full = ext_dir(delta, P, prune=False)
+            assert pruned == list(minimal_elements(full))
+            assert ext_dir(delta, P, trace={}) == pruned
+            assert ext_dir(delta, P, prune=False, trace={}) == full
+
+
+def test_closure_cap_without_pruning(monkeypatch):
+    monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
+    with pytest.raises(GuardExceeded):
+        minimal_set(ROTATION, prune=False)
 
 
 # ---------------------------------------------------------------------------
