@@ -58,6 +58,19 @@ def _allow_big(args) -> bool:
     return env.strip().lower() in {"1", "true", "yes", "on"}
 
 
+def _at_least(lo: int):
+    """argparse type: an int no smaller than lo; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _read_bricks(inline, path):
     """Proto-set from inline args or a file (JSON list or one per line)."""
     texts = list(inline or [])
@@ -188,7 +201,7 @@ def cmd_dedekind(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    path = args.resume or args.output or f"certificate_n{args.n}.jsonl"
+    path = args.checkpoint or f"certificate_n{args.n}.jsonl"
     cert = certificate(args.n, allow_big=_allow_big(args), checkpoint=path,
                        progress=_progress)
     coeffs = rank_polynomial(args.n, allow_big=True)
@@ -273,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxrank",
                        help="worst-case rank over proto-sets of n bricks")
-    p.add_argument("n", nargs="?", type=int, help="proto-set size")
-    p.add_argument("d", nargs="?", type=int, help="dimension")
+    p.add_argument("n", nargs="?", type=_at_least(1), help="proto-set size")
+    p.add_argument("d", nargs="?", type=_at_least(1), help="dimension")
     p.add_argument("--table", action="store_true",
                    help="full table n=1..n-max, d=2..d-max")
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--d-max", type=int, default=8)
+    p.add_argument("--d-max", type=_at_least(2), default=8)
     p.add_argument("--allow-big", action="store_true",
                    help="override the size guard")
     _add_format(p, ("text", "csv", "json"))
@@ -286,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedekind",
                        help="free distributive lattice: count, list, dualize")
-    p.add_argument("n", type=int, help="alphabet size")
+    p.add_argument("n", type=_at_least(1), help="alphabet size")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--count", action="store_true",
                    help="lattice size (default)")
@@ -300,18 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certificate",
                        help="level-by-level symbolic construction with "
                             "checkpointing")
-    p.add_argument("n", type=int, help="alphabet size")
-    p.add_argument("--resume", metavar="PATH",
-                   help="continue from a partial checkpoint file")
-    p.add_argument("--output", metavar="PATH",
-                   help="checkpoint path (default certificate_n<N>.jsonl)")
+    p.add_argument("n", type=_at_least(1), help="alphabet size")
+    p.add_argument("--output", "--resume", dest="checkpoint", metavar="PATH",
+                   help="checkpoint file, resumed if it exists and written "
+                        "otherwise (default certificate_n<N>.jsonl)")
     p.add_argument("--allow-big", action="store_true")
     _add_format(p)
     p.set_defaults(main=cmd_certificate)
 
     p = sub.add_parser("poly",
                        help="exact rank polynomial and its value table")
-    p.add_argument("n", type=int, help="alphabet size")
+    p.add_argument("n", type=_at_least(1), help="alphabet size")
     p.add_argument("--d-max", type=int, default=11,
                    help="evaluate for d = 0..d-max (default 11)")
     p.add_argument("--allow-big", action="store_true")

@@ -10,19 +10,25 @@ keeping the divisibility-minimal elements yields the finite set that
 decides tilability: a box T admits a signed tiling by the proto-set
 exactly when some minimal brick divides T.
 
+One codec packs bricks for every bit-level step.  Each lattice codes a
+side as a Python int in which meet is AND, join is OR and order is bit
+subset: phrases by their truth tables, naturals by the rank of each
+prime's exponent among those the prime takes in the inputs.
+_BrickCodec puts a brick's side codes at a fixed bit stride in a row of
+64-bit words and decodes each distinct side code once.
+
 One closure engine computes the fixpoint.  It encodes each brick once
-as a row of 64-bit words, where meet is AND, join is OR and
-divisibility is bit subset, and runs every direction on those rows.  In
-a fixed direction cix is commutative, associative and idempotent, so
-the closure grows one input at a time: each input is combined with
-every live row in one numpy block.  With the trace on, each new row
-records the live row and the input it came from, so a derivation trace
-(needed to rebuild explicit tilings) comes from the same run.
-Mid-closure pruning (dropping any brick another brick divides) is on by
-default and does not change the minimal set, because combines are
-monotone in each argument; pass prune=False to cross-check.
-minimal_elements and BrickAntichain.validate use the same packed subset
-test.
+and runs every direction on the packed rows.  In a fixed direction cix
+is commutative, associative and idempotent, so the closure grows one
+input at a time: each input is combined with every live row in one
+numpy block.  With the trace on, each new row records the live row and
+the input it came from, so a derivation trace (needed to rebuild
+explicit tilings) comes from the same run.  Mid-closure pruning
+(dropping any brick another brick divides) is on by default and does
+not change the minimal set, because combines are monotone in each
+argument; pass prune=False to cross-check.  minimal_elements and
+BrickAntichain.validate run the same packed subset test on rows of the
+same codec.
 """
 
 from __future__ import annotations
@@ -108,8 +114,39 @@ class _NatLattice:
         return render_nat(a, style="auto")
 
     @staticmethod
-    def make_codec(values):
-        return _NatCodec(values)
+    def side_codec(values):
+        """Rank codes: each prime gets a field, and its exponent in a value
+        is coded as r low ones, r the exponent's rank among those the
+        prime takes in values (0 counts where a value lacks the prime).
+        min and max never leave that set, so gcd and lcm are AND and OR."""
+        values = set(values)
+        seen: dict[int, list[int]] = {}
+        for v in values:
+            for p, e in v.factors:
+                seen.setdefault(p, []).append(e)
+        fields, nbits = {}, 0  # prime -> (offset, exponents, their ranks)
+        for p in sorted(seen):
+            absent = {0} if len(seen[p]) < len(values) else set()
+            exps = sorted(set(seen[p]) | absent)
+            fields[p] = nbits, exps, {e: r for r, e in enumerate(exps)}
+            nbits += len(exps) - 1
+
+        def encode(v):
+            code = 0
+            for p, e in v.factors:
+                at, _, rank = fields[p]
+                code |= ((1 << rank[e]) - 1) << at
+            return code
+
+        def decode(code):
+            pairs = []
+            for p, (at, exps, _) in fields.items():
+                e = exps[(code >> at & (1 << len(exps) - 1) - 1).bit_count()]
+                if e:
+                    pairs.append((p, e))
+            return FactoredNat(tuple(pairs))
+
+        return nbits, encode, decode
 
 
 class _PhraseLattice:
@@ -138,8 +175,12 @@ class _PhraseLattice:
         return "(" + render_phrase(a) + ")"
 
     @staticmethod
-    def make_codec(values):
-        return _PhraseCodec(values)
+    def side_codec(values):
+        """Truth tables over the joint alphabet of values: meet is AND,
+        join is OR."""
+        n = max((l for v in values for w in v.words for l in w), default=1)
+        return (1 << n, lambda v: dedekind.phrase_tt(v, n),
+                lambda code: dedekind.phrase_from_tt(code, n))
 
 
 NAT_LATTICE = _NatLattice()
@@ -246,91 +287,44 @@ def cix(delta: int, a: Brick, b: Brick) -> Brick:
 
 
 # ---------------------------------------------------------------------------
-# packed-bit codecs: meet = AND, join = OR, divides = bit subset
-
-
-class _NatCodec:
-    """Thermometer bits per prime: exponent e encodes as e low ones, so
-    min/max of exponents become AND/OR of codes."""
-
-    def __init__(self, values):
-        caps: dict[int, int] = {}
-        for v in values:
-            for p, e in v.factors:
-                if caps.get(p, 0) < e:
-                    caps[p] = e
-        self.layout = []  # (prime, offset, cap)
-        off = 0
-        for p in sorted(caps):
-            self.layout.append((p, off, caps[p]))
-            off += caps[p]
-        self.nbits = off
-        self.nbytes = max(1, (off + 7) // 8)
-
-    def encode(self, v: FactoredNat) -> bytes:
-        acc = 0
-        fd = dict(v.factors)
-        for p, off, cap in self.layout:
-            e = fd.get(p, 0)
-            if e > cap:
-                raise ValueError(f"exponent of {p} exceeds codec capacity")
-            acc |= ((1 << e) - 1) << off
-        return acc.to_bytes(self.nbytes, "little")
-
-    def decode(self, raw: bytes) -> FactoredNat:
-        acc = int.from_bytes(raw, "little")
-        pairs = []
-        for p, off, cap in self.layout:
-            e = ((acc >> off) & ((1 << cap) - 1)).bit_count()
-            if e:
-                pairs.append((p, e))
-        return FactoredNat(tuple(pairs))
-
-
-class _PhraseCodec:
-    """Truth table bits over the joint alphabet of the given phrases."""
-
-    def __init__(self, values):
-        self.n = max((l for v in values for w in v.words for l in w), default=1)
-        self.nbytes = max(1, (1 << self.n) // 8)
-
-    def encode(self, v: Phrase) -> bytes:
-        return dedekind.phrase_tt(v, self.n).to_bytes(self.nbytes, "little")
-
-    def decode(self, raw: bytes) -> Phrase:
-        return dedekind.phrase_from_tt(int.from_bytes(raw, "little"), self.n)
+# packed rows: meet = AND, join = OR, divides = bit subset
 
 
 class _BrickCodec:
-    """A brick as one uint8 row: the side codes in order, zero-padded to
-    whole 64-bit words so that the closure and the subset tests can run
-    on a uint64 view."""
+    """Bricks of one shape as rows of 64-bit words.  Side i of a brick
+    holds bits [i * stride, (i + 1) * stride) of its row: the side's code
+    under its lattice's side_codec, built from every side of the bricks
+    given, with the rest of the last word zero.  Meet, join and
+    divisibility act side by side, so on rows cix is AND on the delta
+    field and OR elsewhere, and divisibility is bit subset.  Decoding
+    shifts the side codes out of a row and decodes each distinct code
+    once."""
 
-    def __init__(self, lat, bricks):
-        self.dim = bricks[0].dim
-        sides = [s for b in bricks for s in b.sides]
-        self.side_codec = lat.make_codec(sides)
-        self.width = -(-self.side_codec.nbytes * self.dim // 8) * 8
+    def __init__(self, bricks):
+        self.dim = _check_same_shape(bricks)
+        self.stride, self._encode, decode = lattice_of(bricks[0]).side_codec(
+            [s for b in bricks for s in b.sides])
+        self._decode = functools.cache(decode)
+        self.ones = (1 << self.stride) - 1
+        self.nbytes = 8 * max(1, -(-self.stride * self.dim // 64))
 
-    def encode(self, b: Brick) -> np.ndarray:
-        raw = b"".join(self.side_codec.encode(s) for s in b.sides)
-        return np.frombuffer(raw.ljust(self.width, b"\0"), dtype=np.uint8).copy()
+    def rows(self, bricks) -> np.ndarray:
+        """One row of words per brick, all from one buffer."""
+        buf = b"".join(
+            sum(self._encode(s) << i * self.stride
+                for i, s in enumerate(b.sides)).to_bytes(self.nbytes, "little")
+            for b in bricks)
+        return np.frombuffer(buf, dtype="<u8").reshape(len(bricks), -1)
 
-    def decode(self, raw: bytes) -> Brick:
-        nb = self.side_codec.nbytes
-        return Brick(
-            tuple(
-                self.side_codec.decode(raw[i * nb : (i + 1) * nb])
-                for i in range(self.dim)
-            )
-        )
+    def decode(self, row: bytes) -> Brick:
+        code = int.from_bytes(row, "little")
+        return Brick(tuple(self._decode(code >> i * self.stride & self.ones)
+                           for i in range(self.dim)))
 
     def side_mask(self, delta: int) -> np.ndarray:
         """The words of a row with every bit of side delta set."""
-        nb = self.side_codec.nbytes
-        row = np.zeros(self.width, dtype=np.uint8)
-        row[(delta - 1) * nb : delta * nb] = 0xFF
-        return row.view(np.uint64)
+        mask = self.ones << (delta - 1) * self.stride
+        return np.frombuffer(mask.to_bytes(self.nbytes, "little"), dtype="<u8")
 
 
 def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -352,13 +346,6 @@ def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a C-contiguous uint64 word matrix."""
     return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
-
-
-def _packed(bricks) -> np.ndarray:
-    """One packed row of words per brick: divisibility is bit subset."""
-    _check_same_shape(bricks)
-    codec = _BrickCodec(lattice_of(bricks[0]), bricks)
-    return np.stack([codec.encode(b) for b in bricks]).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +416,13 @@ def _close(delta, rows, mask, prune, derived, inputs):
 
 def _closure(bricks, deltas, prune, trace, progress=None):
     """Close bricks in each direction of deltas in turn, on packed rows
-    under one codec: exponents and truth tables are closed under AND and
-    OR, so a codec built from the inputs encodes every combine.  Trace
+    under one codec: the side codes of the inputs are closed under AND
+    and OR, so a codec built from the inputs encodes every combine.  Trace
     entries go in the order the rows were made, keeping any derivation
     already there, and never name an input of this or an earlier pass."""
     start = sorted(set(bricks), key=brick_sort_key)
-    codec = _BrickCodec(lattice_of(start[0]), start)
-    rows = np.stack([codec.encode(b) for b in start]).view(np.uint64)
+    codec = _BrickCodec(start)
+    rows = codec.rows(start)
     derived = [] if trace is not None else None
     inputs = set(_row_keys(rows)) if trace is not None else None
     for delta in deltas:
@@ -444,7 +431,7 @@ def _closure(bricks, deltas, prune, trace, progress=None):
             inputs.update(_row_keys(rows))
         if progress is not None:
             progress(f"direction {delta}/{codec.dim}: {len(rows)} bricks")
-    decode = functools.cache(codec.decode)
+    decode = codec.decode
     if trace is not None:
         for delta, c, a, b in derived:
             trace.setdefault(decode(c), (delta, decode(a), decode(b)))
@@ -505,7 +492,7 @@ class BrickAntichain:
         bs = self.bricks
         if len(bs) <= 1:
             return
-        mat = _packed(bs)
+        mat = _BrickCodec(bs).rows(bs)
         over = np.flatnonzero(_divisor_counts(mat, mat) > 1)
         if over.size:  # brick j has a divisor beyond itself
             j = int(over[0])
@@ -525,7 +512,7 @@ def minimal_elements(bricks) -> BrickAntichain:
     bl = sorted(set(bricks), key=brick_sort_key)
     if not bl:
         raise ValueError("minimal_elements of an empty set")
-    mat = _packed(bl)
+    mat = _BrickCodec(bl).rows(bl)
     counts = _divisor_counts(mat, mat).tolist()
     return BrickAntichain.of(b for b, c in zip(bl, counts) if c == 1)
 

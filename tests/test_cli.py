@@ -217,6 +217,23 @@ def test_maxrank_missing_args(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxrank", "0", "2"],
+    ["maxrank", "2", "0"],
+    ["maxrank", "--table", "--d-max", "1"],
+    ["certificate", "0"],
+    ["dedekind", "0"],
+    ["poly", "0"],
+    ["poly", "two"],
+])
+def test_out_of_range_integer_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
 def test_maxrank_guard(capsys):
     code, _, err = run(capsys, "maxrank", "5", "3")
     assert code == 3

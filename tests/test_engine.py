@@ -5,7 +5,12 @@ from itertools import combinations, permutations
 import pytest
 
 import brickrank.engine
-from brickrank.dedekind import enumerate_lattice, parse_phrase, phrase_key
+from brickrank.dedekind import (
+    enumerate_lattice,
+    parse_phrase,
+    phrase_key,
+    reduce_words,
+)
 from brickrank.engine import (
     Brick,
     BrickAntichain,
@@ -26,7 +31,8 @@ from brickrank.engine import (
     rank,
     render_brick,
 )
-from brickrank.numlat import nat
+from brickrank.engine import _BrickCodec, _divisor_counts
+from brickrank.numlat import FactoredNat, nat
 
 FIG1 = [brick(25, 3), brick(9, 8), brick(16, 5)]
 FIG2 = [brick(3, 8), brick(4, 5), brick(7, 3)]
@@ -358,6 +364,62 @@ def test_closure_cap_without_pruning(monkeypatch):
     monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
     with pytest.raises(GuardExceeded):
         minimal_set(ROTATION, prune=False)
+
+
+# ---------------------------------------------------------------------------
+# the packed codec
+
+
+def _random_factored_bricks(rng, count, d):
+    """Sides over 2, 3, 5 and 7, each prime absent from some sides, with
+    exponents from 1 up to 10**6."""
+    exps = (1, 2, 3, 8, 10**3, 10**6 - 1, 10**6)
+
+    def side():
+        return FactoredNat(tuple((p, rng.choice(exps)) for p in (2, 3, 5, 7)
+                                 if rng.random() < 0.6))
+
+    return [Brick(tuple(side() for _ in range(d))) for _ in range(count)]
+
+
+def _random_phrase_bricks(rng, count, d, letters):
+    def side():
+        return reduce_words(rng.sample(range(1, letters + 1),
+                                       rng.randint(1, letters))
+                            for _ in range(rng.randint(1, 3)))
+
+    return [Brick(tuple(side() for _ in range(d))) for _ in range(count)]
+
+
+def _codec_cases():
+    rng = random.Random(53)
+    for d in range(1, 5):
+        yield _random_factored_bricks(rng, 12, d)
+    for letters in range(1, 6):
+        yield _random_phrase_bricks(rng, 12, rng.randint(1, 4), letters)
+
+
+@pytest.mark.parametrize("bricks", list(_codec_cases()))
+def test_codec_is_a_lattice_embedding(bricks):
+    codec = _BrickCodec(bricks)
+    rows = codec.rows(bricks)
+    assert [codec.decode(r.tobytes()) for r in rows] == bricks
+    counts = _divisor_counts(rows, rows).tolist()
+    assert counts == [sum(brick_divides(a, b) for a in bricks) for b in bricks]
+    for (a, ra), (b, rb) in combinations(zip(bricks, rows), 2):
+        assert (not (ra & ~rb).any()) == brick_divides(a, b)
+        assert (not (rb & ~ra).any()) == brick_divides(b, a)
+        for delta in range(1, a.dim + 1):
+            mask = codec.side_mask(delta)
+            packed = (ra & rb & mask) | ((ra | rb) & ~mask)
+            assert codec.decode(packed.tobytes()) == cix(delta, a, b)
+
+
+def test_codec_width_counts_exponents_not_their_size():
+    bricks = [brick("2^1000000", 1), brick(3, 1)]
+    rows = _BrickCodec(bricks).rows(bricks)
+    assert rows.shape == (2, 1)
+    assert minimal_set(bricks).bricks == (brick(1, 1),)
 
 
 # ---------------------------------------------------------------------------
