@@ -43,6 +43,7 @@ from .engine import (
     comb,
     cix,
     ext_all,
+    decide,
     ext_dir,
     is_tilable,
     minimal_elements,

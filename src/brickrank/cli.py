@@ -25,6 +25,7 @@ from .dedekind import (
     PhraseParseError,
     dual,
     enumerate_lattice,
+    lattice_tables,
     parse_phrase,
     phrase_key,
     render_phrase,
@@ -34,6 +35,7 @@ from .engine import (
     BrickParseError,
     DimensionMismatch,
     GuardExceeded,
+    decide,
     is_tilable,
     lattice_of,
     minimal_set,
@@ -110,19 +112,17 @@ def cmd_minimal_set(args) -> int:
 def cmd_tilable(args) -> int:
     target = parse_brick(args.target)
     protos = _read_bricks(args.bricks, args.input)
-    M = minimal_set(protos, prune=not args.no_prune)
-    ok = is_tilable(target, M)
-    if args.witness:
+    prune = not args.no_prune
+    if not args.witness:
+        ok = decide(target, protos, prune=prune)
+    else:
+        ok = is_tilable(target, minimal_set(protos, prune=prune))
         if lattice_of(target) is not NAT_LATTICE:
             raise BrickParseError("--witness needs numeric bricks")
-        w = tile_witness(protos, target) if ok else None
-        if w is not None:
-            sys.stdout.write(witness_to_json(w))
-        elif args.format == "json":
-            print(json.dumps({"tilable": False}))
-        else:
-            print("no")
-    elif args.format == "json":
+        if ok:
+            sys.stdout.write(witness_to_json(tile_witness(protos, target)))
+            return 0
+    if args.format == "json":
         print(json.dumps({"tilable": ok}))
     else:
         print("yes" if ok else "no")
@@ -179,9 +179,8 @@ def cmd_dedekind(args) -> int:
         else:
             print(out)
         return 0
-    lattice = enumerate_lattice(n)
     if args.enumerate:
-        phrases = sorted(lattice, key=phrase_key)
+        phrases = sorted(enumerate_lattice(n), key=phrase_key)
         if args.format == "json":
             doc = {
                 "n": n,
@@ -193,10 +192,11 @@ def cmd_dedekind(args) -> int:
             for a in phrases:
                 print(render_phrase(a, n))
         return 0
+    count = len(lattice_tables(n))
     if args.format == "json":
-        print(json.dumps({"n": n, "count": len(lattice)}))
+        print(json.dumps({"n": n, "count": count}))
     else:
-        print(len(lattice))
+        print(count)
     return 0
 
 
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", nargs="?", type=_at_least(1), help="dimension")
     p.add_argument("--table", action="store_true",
                    help="full table n=1..n-max, d=2..d-max")
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--n-max", type=_at_least(1), default=3)
     p.add_argument("--d-max", type=_at_least(2), default=8)
     p.add_argument("--allow-big", action="store_true",
                    help="override the size guard")
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly",
                        help="exact rank polynomial and its value table")
     p.add_argument("n", type=_at_least(1), help="alphabet size")
-    p.add_argument("--d-max", type=int, default=11,
+    p.add_argument("--d-max", type=_at_least(0), default=11,
                    help="evaluate for d = 0..d-max (default 11)")
     p.add_argument("--allow-big", action="store_true")
     _add_format(p, ("text", "csv", "json"))

@@ -37,6 +37,7 @@ __all__ = [
     "render_phrase",
     "parse_phrase",
     "enumerate_lattice",
+    "lattice_tables",
     "monotone_count_oracle",
     "eval_hom",
     "phrase_tt",
@@ -240,17 +241,36 @@ def phrase_from_tt(tt: int, n: int) -> Phrase:
 # whole-lattice enumeration and the independent count
 
 
-def enumerate_lattice(n: int) -> set[Phrase]:
-    """All phrases on letters 1..n: the closure of the generators under
-    join and meet.  Guard: 1 <= n <= 6 (n = 6 builds 7.8M phrases and
-    needs several GB; sizes follow the Dedekind sequence)."""
+def _word_tables(n: int) -> dict[tuple[int, ...], int]:
+    """Every nonempty word on letters 1..n with its truth table: the meet
+    closure of the generators, i.e. exactly the single-word phrases.
+    Guard: 1 <= n <= 6 (n = 6 has 7.8M phrases and needs several GB;
+    sizes follow the Dedekind sequence)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > 6:
-        raise GuardExceeded(f"enumerate_lattice supports n <= 6, got {n}")
-    # meet closure of the generators gives exactly the single-word phrases
+        raise GuardExceeded(f"lattice enumeration supports n <= 6, got {n}")
     words = [tuple(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
-    word_tts = {w: phrase_tt(Phrase((w,)), n) for w in words}
+    return {w: phrase_tt(Phrase((w,)), n) for w in words}
+
+
+def lattice_tables(n: int) -> set[int]:
+    """The truth tables of all phrases on letters 1..n: the join closure
+    of the word tables on plain ints, with no phrase built."""
+    words = _word_tables(n).values()
+    seen = set(words)
+    frontier = seen
+    while frontier:
+        frontier = {t | w for t in frontier for w in words} - seen
+        seen |= frontier
+    return seen
+
+
+def enumerate_lattice(n: int) -> set[Phrase]:
+    """All phrases on letters 1..n: the closure of the generators under
+    join and meet.  The join closure of lattice_tables, building each
+    phrase when its table is first reached."""
+    word_tts = _word_tables(n)
     # join closure: every phrase with k+1 words is (k-word phrase) | word,
     # so pairing the frontier against single words reaches everything
     seen: dict[int, Phrase] = {}

@@ -29,6 +29,16 @@ not change the minimal set, because combines are monotone in each
 argument; pass prune=False to cross-check.  minimal_elements and
 BrickAntichain.validate run the same packed subset test on rows of the
 same codec.
+
+One tilability decision needs less than M(P).  Joining with a fixed
+element of a distributive lattice is a lattice homomorphism, so
+psi_T(b) = (b_1 v T_1, ..., b_d v T_d) commutes with cix in every
+direction and Cl(psi_T P) = psi_T(Cl P).  A brick c divides T exactly
+when psi_T(c) = T, so T is tilable exactly when T lies in Cl(psi_T P),
+whose least element T then is.  decide closes the lifted protos one
+direction at a time under a codec built over T and them (a lifted
+exponent never drops below T's, so rank codes shrink) and stops once
+T's row is live; a proto that divides T answers before any codec.
 """
 
 from __future__ import annotations
@@ -71,6 +81,7 @@ __all__ = [
     "minimal_set",
     "rank",
     "is_tilable",
+    "decide",
     "parse_brick",
     "render_brick",
     "brick_sort_key",
@@ -537,6 +548,44 @@ def is_tilable(target: Brick, minimal: BrickAntichain) -> bool:
     if minimal.bricks:
         _check_same_shape((target,) + minimal.bricks)
     return minimal.find_divisor(target) is not None
+
+
+def decide(target: Brick, protos, prune: bool = True) -> bool:
+    """Signed-tilability decision without M(P): close the protos joined
+    with the target, stopping once the target itself is reached.
+
+    psi_T(b) = b v T side by side commutes with every cix, so the closure
+    of psi_T(P) is psi_T of the closure of P, and c divides T exactly when
+    psi_T(c) = T.  T, the least element of that closure, is in it exactly
+    when T is tilable, and is then its only minimal row.
+    """
+    bl = list(protos)
+    if not bl:
+        raise ValueError("decide on an empty proto-set")
+    d = _check_same_shape([target] + bl)
+    lat = lattice_of(target)
+    if lat is PHRASE_LATTICE:
+        # every brick of the closure uses only the protos' letters, and
+        # such a phrase lies below T exactly when it lies below T with
+        # those letters' words kept; so the codec spans only those letters
+        letters = {l for b in bl for s in b.sides for w in s.words for l in w}
+        kept = [[w for w in s.words if letters.issuperset(w)]
+                for s in target.sides]
+        if not all(kept):
+            return False  # a side no phrase over those letters is below
+        target = Brick(tuple(Phrase(tuple(ws)) for ws in kept))
+    lifted = list(dict.fromkeys(
+        Brick(tuple(map(lat.join, b.sides, target.sides))) for b in bl))
+    if target in lifted:
+        return True  # a proto divides the target
+    codec = _BrickCodec([target] + lifted)
+    goal = codec.rows([target])[0]
+    rows = codec.rows(lifted)
+    for delta in range(1, d + 1):
+        rows = _close(delta, rows, codec.side_mask(delta), prune, None, None)
+        if (rows == goal).all(axis=1).any():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

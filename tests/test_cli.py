@@ -118,6 +118,31 @@ def test_tilable_json(capsys):
     assert json.loads(out) == {"tilable": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["3x1", "3x8", "4x5x1"],
+    ["3x1x1", "3x8", "4x5"],
+    ["3x1", "3x8", "(w)x(x)"],
+    ["(w)x(x)", "3x8", "4x5"],
+])
+@pytest.mark.parametrize("opts", [[], ["--no-prune"], ["--format", "json"]])
+def test_tilable_mixed_shapes_exit_2(capsys, argv, opts):
+    code, out, err = run(capsys, "tilable", *argv, *opts)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mixed")
+
+
+def test_tilable_decides_without_minimal_set(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_set called")
+
+    monkeypatch.setattr(cli, "minimal_set", refuse)
+    for opts in ([], ["--no-prune"]):
+        code, out, _ = run(capsys, "tilable", "3x1", "3x8", "4x5", "7x3", *opts)
+        assert (code, out) == (0, "yes\n")
+        code, out, _ = run(capsys, "tilable", "3x3", "2x2", "4x6", *opts)
+        assert (code, out) == (1, "no\n")
+
+
 def test_tilable_witness_output(capsys):
     code, out, _ = run(capsys, "tilable", "3x1", "3x8", "4x5", "7x3",
                        "--witness")
@@ -225,6 +250,9 @@ def test_maxrank_missing_args(capsys):
     ["dedekind", "0"],
     ["poly", "0"],
     ["poly", "two"],
+    ["poly", "2", "--d-max", "-1"],
+    ["maxrank", "--table", "--n-max", "0"],
+    ["maxrank", "--table", "--n-max", "0", "--format", "json"],
 ])
 def test_out_of_range_integer_argument_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -254,9 +282,15 @@ def test_guard_override_env(monkeypatch):
     assert cli._allow_big(Args())
 
 
-def test_dedekind_count(capsys):
+def test_dedekind_count(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("phrases built")
+
+    monkeypatch.setattr(cli, "enumerate_lattice", refuse)
     code, out, _ = run(capsys, "dedekind", "3")
     assert (code, out) == (0, "18\n")
+    code, out, _ = run(capsys, "dedekind", "5", "--count")
+    assert (code, out) == (0, "7579\n")
     code, out, _ = run(capsys, "dedekind", "3", "--count", "--format", "json")
     assert json.loads(out) == {"n": 3, "count": 18}
 

@@ -11,6 +11,7 @@ from brickrank.dedekind import (
     eval_hom,
     is_pure_sum,
     join,
+    lattice_tables,
     leq,
     meet,
     monotone_count_oracle,
@@ -161,6 +162,15 @@ def test_enumerate_lattice_sizes():
 def test_enumerate_matches_brute_force_oracle():
     for n in range(1, 4):
         assert len(enumerate_lattice(n)) == monotone_count_oracle(n)
+
+
+def test_lattice_tables_count_the_lattice():
+    for n in range(1, 6):
+        lattice = enumerate_lattice(n)
+        assert lattice_tables(n) == {phrase_tt(a, n) for a in lattice}
+        assert len(lattice_tables(n)) == len(lattice)
+    for n in range(1, 5):
+        assert len(lattice_tables(n)) == monotone_count_oracle(n)
 
 
 def test_lattice_closed_under_ops():

@@ -7,6 +7,7 @@ import pytest
 import brickrank.engine
 from brickrank.dedekind import (
     enumerate_lattice,
+    join as phrase_join,
     parse_phrase,
     phrase_key,
     reduce_words,
@@ -22,9 +23,11 @@ from brickrank.engine import (
     brick_sort_key,
     cix,
     comb,
+    decide,
     ext_all,
     ext_dir,
     is_tilable,
+    lattice_of,
     minimal_elements,
     minimal_set,
     parse_brick,
@@ -32,7 +35,7 @@ from brickrank.engine import (
     render_brick,
 )
 from brickrank.engine import _BrickCodec, _divisor_counts
-from brickrank.numlat import FactoredNat, nat
+from brickrank.numlat import FactoredNat, lcm_nat, nat
 
 FIG1 = [brick(25, 3), brick(9, 8), brick(16, 5)]
 FIG2 = [brick(3, 8), brick(4, 5), brick(7, 3)]
@@ -499,6 +502,89 @@ def test_dimension_one_gcd_oracle():
         g = math.gcd(*[int(p.sides[0]) for p in P])
         M = minimal_set(P)
         assert is_tilable(t, M) == (int(t.sides[0]) % g == 0)
+
+
+def _decide_nat_bricks(rng, count, d):
+    """Sides over 2, 3, 5 and 7, each prime absent from some sides; 2
+    takes exponents up to 10**6 (minimal_set's sort expands sides to
+    ints, which stays cheap for powers of 2 alone)."""
+    exps = {2: (1, 2, 10**3, 10**6), 3: (1, 2, 5), 5: (1, 3), 7: (1, 2)}
+
+    def side():
+        return FactoredNat(tuple((p, rng.choice(e)) for p, e in exps.items()
+                                 if rng.random() < 0.6))
+
+    return [Brick(tuple(side() for _ in range(d))) for _ in range(count)]
+
+
+def _decide_cases():
+    """(target, protos): per proto-set, a random target, a minimal brick
+    joined with a random brick (tilable, usually with no proto dividing
+    it) and, for naturals, that target times 11, a prime no proto has;
+    for phrases, targets with letters beyond the protos' alphabet."""
+    rng = random.Random(61)
+    eleven = FactoredNat(((11, 10**6),))
+    for d in range(1, 5):
+        for _ in range(6):
+            P = _decide_nat_bricks(rng, rng.randint(2, 4), d)
+            m = rng.choice(minimal_set(P).bricks)
+            up = _decide_nat_bricks(rng, 1, d)[0]
+            grown = Brick(tuple(map(lcm_nat, m.sides, up.sides)))
+            yield _decide_nat_bricks(rng, 1, d)[0], P
+            yield grown, P
+            yield Brick(tuple(lcm_nat(s, eleven) if i == 0 else s
+                              for i, s in enumerate(grown.sides))), P
+    huge = FactoredNat(((2, 10**6),))
+    yield brick(huge, 3), [brick(huge, 1), brick(3, 1)]
+    yield brick(huge, 6), [brick(huge, 2), brick(3, 3)]
+    yield brick(huge, 9), [brick(huge, 2), brick(3, 3)]
+    yield brick(huge, 12, 5), [brick(2, 3, 5), brick(huge, 4, 1)]
+    for letters in range(1, 6):
+        for _ in range(4):
+            d = rng.randint(1, 3)
+            P = _random_phrase_bricks(rng, rng.randint(2, 4), d, letters)
+            m = rng.choice(minimal_set(P).bricks)
+            wide = letters + 2
+            yield _random_phrase_bricks(rng, 1, d, letters)[0], P
+            yield _random_phrase_bricks(rng, 1, d, wide)[0], P
+            up = _random_phrase_bricks(rng, 1, d, wide)[0]
+            yield Brick(tuple(map(phrase_join, m.sides, up.sides))), P
+    yield brick("(w5)", "(w)"), [brick("(w)", "(w)")]
+    yield brick("(w+w5)", "(x)"), [brick("(w)", "(x)"), brick("(x)", "(w)")]
+
+
+def test_decide_matches_minimal_set():
+    outcomes = set()
+    for target, P in _decide_cases():
+        want = is_tilable(target, minimal_set(P))
+        for prune in (True, False):
+            assert decide(target, P, prune=prune) == want, (target, P, prune)
+        divided = any(brick_divides(p, target) for p in P)
+        outcomes.add((lattice_of(target).name, want, divided))
+    # both answers, and positives that need a closure, in both lattices
+    for name in ("nat", "phrase"):
+        assert {(name, True, False), (name, False, False),
+                (name, True, True)} <= outcomes
+
+
+def test_decide_dividing_proto_starts_no_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(brickrank.engine, "_close", refuse)
+    assert decide(brick(34, 11), [brick(2, 3), brick(17, 11)])
+    assert decide(brick("(w+x)", "(x)"), [brick("(w)", "(x)")], prune=False)
+    with pytest.raises(AssertionError):
+        decide(brick(3, 1), FIG2)
+
+
+def test_decide_mixed_shapes_raise():
+    with pytest.raises(DimensionMismatch):
+        decide(brick(3, 1), [brick(3, 1, 1)])
+    with pytest.raises(DimensionMismatch):
+        decide(brick(3, 1), [brick(3, 1), brick("(w)", "(x)")])
+    with pytest.raises(DimensionMismatch):
+        decide(brick("(w)", "(x)"), FIG2)
 
 
 def test_antichain_membership_and_dimension_guard():
