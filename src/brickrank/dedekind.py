@@ -192,8 +192,13 @@ def parse_phrase(text: str) -> Phrase:
 
 
 # ---------------------------------------------------------------------------
-# truth tables: bit v of the table is the value on the assignment whose
-# true letters are the set bits of v.  Monotone functions only.
+# truth tables: bit v of a table over letters 1..n is the value on the
+# assignment whose true letters are the set bits of v, so letter i's table
+# repeats 2^(i-1) false bits then 2^(i-1) true bits.  Monotone functions
+# only.  Shifting the part of a table where letter i is false left by
+# 2^(i-1) moves each value to the assignment that adds i; a table is
+# monotone exactly when every shifted table lies within it, and its words
+# are the true assignments that no shifted table covers.
 
 
 def phrase_tt(a: Phrase, n: int) -> int:
@@ -212,52 +217,50 @@ def phrase_tt(a: Phrase, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _letter_tables(n: int) -> tuple[int, ...]:
-    tabs = []
-    for i in range(n):
-        t = 0
-        for v in range(1 << n):
-            if v >> i & 1:
-                t |= 1 << v
-        tabs.append(t)
-    return tuple(tabs)
+    """The table of each letter 1..n: one more letter doubles each table,
+    and the new letter's is 2^(n-1) false bits then 2^(n-1) true bits."""
+    if n == 0:
+        return ()
+    half = 1 << n - 1
+    return (tuple(t | t << half for t in _letter_tables(n - 1))
+            + (((1 << half) - 1) << half,))
 
 
 def phrase_from_tt(tt: int, n: int) -> Phrase:
-    """Inverse of phrase_tt: words are the minimal true assignments."""
+    """Inverse of phrase_tt: words are the minimal true assignments.
+    Anything but the table of a phrase on letters 1..n raises."""
     if tt <= 0:
         raise ValueError("constant-false table is not a phrase")
-    words = []
-    for v in range(1, 1 << n):
-        if tt >> v & 1 and all(
-            not (tt >> (v & ~(1 << i)) & 1) for i in range(n) if v >> i & 1
-        ):
-            words.append(tuple(i + 1 for i in range(n) if v >> i & 1))
     if tt & 1:
         raise ValueError("constant-true row: table is not generated by letters")
-    return reduce_words(words)
+    if tt >> (1 << n):
+        raise ValueError(f"table has bits beyond the 2**{n} assignments")
+    shifted = 0
+    for i, t in enumerate(_letter_tables(n)):
+        shifted |= (tt & ~t) << (1 << i)
+    if shifted & ~tt:
+        raise ValueError(f"not a monotone table on {n} letters")
+    bits = bin(tt & ~shifted)[:1:-1]  # bit v at index v
+    words = (tuple(i + 1 for i in range(n) if m.start() >> i & 1)
+             for m in re.finditer("1", bits))
+    return Phrase(tuple(sorted(words, key=word_key)))
 
 
 # ---------------------------------------------------------------------------
 # whole-lattice enumeration and the independent count
 
 
-def _word_tables(n: int) -> dict[tuple[int, ...], int]:
-    """Every nonempty word on letters 1..n with its truth table: the meet
-    closure of the generators, i.e. exactly the single-word phrases.
+def lattice_tables(n: int) -> set[int]:
+    """The truth tables of all phrases on letters 1..n: the join closure
+    of the word tables on plain ints, with no phrase built.
     Guard: 1 <= n <= 6 (n = 6 has 7.8M phrases and needs several GB;
     sizes follow the Dedekind sequence)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > 6:
         raise GuardExceeded(f"lattice enumeration supports n <= 6, got {n}")
-    words = [tuple(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
-    return {w: phrase_tt(Phrase((w,)), n) for w in words}
-
-
-def lattice_tables(n: int) -> set[int]:
-    """The truth tables of all phrases on letters 1..n: the join closure
-    of the word tables on plain ints, with no phrase built."""
-    words = _word_tables(n).values()
+    words = [phrase_tt(Phrase((c,)), n) for k in range(1, n + 1)
+             for c in combinations(range(1, n + 1), k)]
     seen = set(words)
     frontier = seen
     while frontier:
@@ -268,26 +271,8 @@ def lattice_tables(n: int) -> set[int]:
 
 def enumerate_lattice(n: int) -> set[Phrase]:
     """All phrases on letters 1..n: the closure of the generators under
-    join and meet.  The join closure of lattice_tables, building each
-    phrase when its table is first reached."""
-    word_tts = _word_tables(n)
-    # join closure: every phrase with k+1 words is (k-word phrase) | word,
-    # so pairing the frontier against single words reaches everything
-    seen: dict[int, Phrase] = {}
-    for w, t in word_tts.items():
-        seen[t] = Phrase((w,))
-    frontier = list(seen.items())
-    while frontier:
-        fresh = []
-        for t, p in frontier:
-            for w, wt in word_tts.items():
-                u = t | wt
-                if u not in seen:
-                    q = reduce_words(p.words + (w,))
-                    seen[u] = q
-                    fresh.append((u, q))
-        frontier = fresh
-    return set(seen.values())
+    join and meet, decoded from lattice_tables."""
+    return {phrase_from_tt(t, n) for t in lattice_tables(n)}
 
 
 def monotone_count_oracle(n: int) -> int:

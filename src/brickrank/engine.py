@@ -12,7 +12,8 @@ exactly when some minimal brick divides T.
 
 One codec packs bricks for every bit-level step.  Each lattice codes a
 side as a Python int in which meet is AND, join is OR and order is bit
-subset: phrases by their truth tables, naturals by the rank of each
+subset: phrases by their truth tables over the letters in use (at most
+20, renumbered in increasing order), naturals by the rank of each
 prime's exponent among those the prime takes in the inputs.
 _BrickCodec puts a brick's side codes at a fixed bit stride in a row of
 64-bit words and decodes each distinct side code once.
@@ -160,6 +161,10 @@ class _NatLattice:
         return nbits, encode, decode
 
 
+# a phrase side over k letters is a 2^k-bit table
+_MAX_LETTERS = 20
+
+
 class _PhraseLattice:
     """Phrases under implication: meet is product, join is sum."""
 
@@ -187,11 +192,21 @@ class _PhraseLattice:
 
     @staticmethod
     def side_codec(values):
-        """Truth tables over the joint alphabet of values: meet is AND,
-        join is OR."""
-        n = max((l for v in values for w in v.words for l in w), default=1)
-        return (1 << n, lambda v: dedekind.phrase_tt(v, n),
-                lambda code: dedekind.phrase_from_tt(code, n))
+        """Truth tables over the letters the values use, renumbered 1..k
+        in increasing order, which keeps word order: meet is AND, join
+        is OR.  More than _MAX_LETTERS letters raise before any table."""
+        used = sorted({l for v in values for w in v.words for l in w})
+        if len(used) > _MAX_LETTERS:
+            raise GuardExceeded(f"phrase bricks use {len(used)} distinct "
+                                f"letters, at most {_MAX_LETTERS} allowed")
+        k, back = len(used), (0, *used)
+        to = {l: r for r, l in enumerate(used, 1)}
+
+        def relabel(p, new):
+            return Phrase(tuple(tuple(new[l] for l in w) for w in p.words))
+
+        return (1 << k, lambda v: dedekind.phrase_tt(relabel(v, to), k),
+                lambda code: relabel(dedekind.phrase_from_tt(code, k), back))
 
 
 NAT_LATTICE = _NatLattice()

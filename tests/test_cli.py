@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -91,6 +92,22 @@ def test_minimal_set_no_prune_closure_cap_exits_3(capsys, monkeypatch):
                          "2x3x7", "3x7x2", "7x2x3")
     assert (code, out) == (3, "")
     assert err.startswith("guard: ")
+
+
+WIDE = "(" + "+".join(f"w{l}" for l in range(1, 22)) + ")"
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal-set", f"{WIDE}x(w)", "(w)x(w2)"),
+    ("tilable", "(w)x(w)", f"{WIDE}x(w)", "(w)x(w2)"),
+    ("tilable", "(w)x(w)", f"{WIDE}x(w)", "(w)x(w2)", "--no-prune"),
+])
+def test_too_many_letters_exit_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:") and "letters" in err
 
 
 def test_minimal_set_parse_error(capsys):

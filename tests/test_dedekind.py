@@ -6,6 +6,7 @@ import pytest
 from brickrank.dedekind import (
     Phrase,
     PhraseParseError,
+    _letter_tables,
     dual,
     enumerate_lattice,
     eval_hom,
@@ -21,9 +22,40 @@ from brickrank.dedekind import (
     phrase_from_tt,
     phrase_key,
     phrase_tt,
+    reduce_words,
     render_phrase,
 )
 from brickrank.numlat import nat
+
+
+def _oracle_from_tt(tt, n):
+    """Per-assignment decoder: the words are the true assignments v with
+    no true assignment one letter smaller than v."""
+    return reduce_words(
+        tuple(i + 1 for i in range(n) if v >> i & 1)
+        for v in range(1, 1 << n)
+        if tt >> v & 1 and not any(tt >> (v & ~(1 << i)) & 1
+                                   for i in range(n) if v >> i & 1))
+
+
+def _oracle_lattice(n):
+    """Every phrase on letters 1..n by a join closure that builds the
+    phrases, word tables computed per assignment."""
+    letters = range(1, n + 1)
+    words = {w: sum(1 << v for v in range(1 << n)
+                    if all(v >> (l - 1) & 1 for l in w))
+             for k in letters for w in combinations(letters, k)}
+    seen = {t: Phrase((w,)) for w, t in words.items()}
+    frontier = list(seen.items())
+    while frontier:
+        fresh = []
+        for t, p in frontier:
+            for w, wt in words.items():
+                if t | wt not in seen:
+                    seen[t | wt] = q = reduce_words(p.words + (w,))
+                    fresh.append((t | wt, q))
+        frontier = fresh
+    return set(seen.values())
 
 
 def _random_phrase(rng, n):
@@ -145,6 +177,31 @@ def test_truth_table_round_trip_all_n3():
         assert phrase_from_tt(phrase_tt(a, 3), 3) == a
 
 
+def test_letter_tables_per_assignment():
+    for n in range(1, 9):
+        assert _letter_tables(n) == tuple(
+            sum(1 << v for v in range(1 << n) if v >> i & 1) for i in range(n))
+
+
+def test_phrase_from_tt_matches_per_assignment_decoder():
+    for n in range(1, 6):
+        for tt in lattice_tables(n):
+            assert phrase_from_tt(tt, n) == _oracle_from_tt(tt, n), (tt, n)
+
+
+@pytest.mark.parametrize("tt, n", [
+    (0, 3),                # constant false
+    (0xFF, 3),             # constant true
+    (0b10000010, 3),       # w and wxy true, wx false: not monotone
+    ((1 << 8) | 2, 3),     # a bit beyond the 8 assignments of 3 letters
+    (0b10101010 << 8, 3),  # the table of w, shifted out of range
+    (0b10, 0),             # no letters, so no phrase
+])
+def test_phrase_from_tt_rejects_non_tables(tt, n):
+    with pytest.raises(ValueError):
+        phrase_from_tt(tt, n)
+
+
 def test_truth_table_semantics():
     # a phrase is true at a letter-set iff some word is contained in it
     a = parse_phrase("w+xy")
@@ -164,9 +221,14 @@ def test_enumerate_matches_brute_force_oracle():
         assert len(enumerate_lattice(n)) == monotone_count_oracle(n)
 
 
+def test_enumerate_lattice_matches_phrase_closure():
+    for n in range(1, 6):
+        assert enumerate_lattice(n) == _oracle_lattice(n)
+
+
 def test_lattice_tables_count_the_lattice():
     for n in range(1, 6):
-        lattice = enumerate_lattice(n)
+        lattice = _oracle_lattice(n)
         assert lattice_tables(n) == {phrase_tt(a, n) for a in lattice}
         assert len(lattice_tables(n)) == len(lattice)
     for n in range(1, 5):

@@ -425,6 +425,60 @@ def test_codec_width_counts_exponents_not_their_size():
     assert minimal_set(bricks).bricks == (brick(1, 1),)
 
 
+def _rename(b, f):
+    """b with every letter l replaced by f(l)."""
+    return Brick(tuple(reduce_words(tuple(map(f, w)) for w in s.words)
+                       for s in b.sides))
+
+
+def test_increasing_letter_renames_commute():
+    rng = random.Random(67)
+
+    def spread(l):
+        return 7 * l + 11
+
+    for letters in range(1, 6):
+        for _ in range(6):
+            d = rng.randint(1, 3)
+            P = _random_phrase_bricks(rng, rng.randint(2, 4), d, letters)
+            wide = [_rename(b, spread) for b in P]
+            targets = [_random_phrase_bricks(rng, 1, d, letters + 1)[0],
+                       rng.choice(minimal_set(P).bricks)]
+            for prune in (True, False):
+                got = minimal_set(wide, prune=prune).bricks
+                assert got == tuple(_rename(b, spread)
+                                    for b in minimal_set(P, prune=prune))
+                for T in targets:
+                    assert (decide(_rename(T, spread), wide, prune=prune)
+                            == decide(T, P, prune=prune))
+
+
+@pytest.mark.parametrize("far", [18, 40])
+def test_far_letters_answer_as_their_two_letter_renames(far):
+    def grow(l):
+        return far if l == 2 else l
+
+    near = [brick("(x)", "(w)"), brick("(w)", "(x)")]
+    P = [_rename(b, grow) for b in near]
+    M = minimal_set(P)
+    assert M.bricks == tuple(_rename(b, grow) for b in minimal_set(near))
+    assert len(M) == 4
+    square = brick("(w)", "(w)")
+    assert decide(square, P) == decide(square, near) is False
+
+
+def test_codec_refuses_too_many_letters():
+    wide = "(" + "+".join(f"w{l}" for l in range(1, 22)) + ")"
+    P = [parse_brick(f"{wide}x(w)"), parse_brick("(w)x(w2)")]
+    with pytest.raises(GuardExceeded):
+        minimal_set(P)
+    with pytest.raises(GuardExceeded):
+        decide(brick("(w)", "(w)"), P)
+    # letters only the target uses are dropped before the codec is built
+    assert decide(parse_brick(f"{wide}x(wx)"), [brick("(w)", "(x)"),
+                                                 brick("(x)", "(w)")])
+
+
 # ---------------------------------------------------------------------------
 # minimal sets and rank
 
