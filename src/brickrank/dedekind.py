@@ -42,6 +42,7 @@ __all__ = [
     "eval_hom",
     "phrase_tt",
     "phrase_from_tt",
+    "tt_extremes",
 ]
 
 _COMPACT = {"w": 1, "x": 2, "y": 3, "z": 4}
@@ -226,6 +227,26 @@ def _letter_tables(n: int) -> tuple[int, ...]:
             + (((1 << half) - 1) << half,))
 
 
+def _lifted(tt: int, n: int) -> int:
+    """The assignments that add one letter to a true assignment of tt."""
+    out = 0
+    for i, t in enumerate(_letter_tables(n)):
+        out |= (tt & ~t) << (1 << i)
+    return out
+
+
+def tt_extremes(tt: int, n: int) -> tuple[int, int]:
+    """The minimal true and the maximal false assignments of a monotone
+    table over letters 1..n, each as a table.  The first holds the words
+    of its phrase; every true assignment lies above one of them and every
+    false one below one of the second."""
+    false = ~tt & ((1 << (1 << n)) - 1)
+    dropped = 0
+    for i, t in enumerate(_letter_tables(n)):
+        dropped |= (false & t) >> (1 << i)
+    return tt & ~_lifted(tt, n), false & ~dropped
+
+
 def phrase_from_tt(tt: int, n: int) -> Phrase:
     """Inverse of phrase_tt: words are the minimal true assignments.
     Anything but the table of a phrase on letters 1..n raises."""
@@ -235,9 +256,7 @@ def phrase_from_tt(tt: int, n: int) -> Phrase:
         raise ValueError("constant-true row: table is not generated by letters")
     if tt >> (1 << n):
         raise ValueError(f"table has bits beyond the 2**{n} assignments")
-    shifted = 0
-    for i, t in enumerate(_letter_tables(n)):
-        shifted |= (tt & ~t) << (1 << i)
+    shifted = _lifted(tt, n)
     if shifted & ~tt:
         raise ValueError(f"not a monotone table on {n} letters")
     bits = bin(tt & ~shifted)[:1:-1]  # bit v at index v

@@ -15,21 +15,24 @@ side as a Python int in which meet is AND, join is OR and order is bit
 subset: phrases by their truth tables over the letters in use (at most
 20, renumbered in increasing order), naturals by the rank of each
 prime's exponent among those the prime takes in the inputs.
-_BrickCodec puts a brick's side codes at a fixed bit stride in a row of
-64-bit words and decodes each distinct side code once.
+_BrickCodec puts a brick's side codes at a fixed bit stride in one int
+row and decodes each distinct side code once.
 
 One closure engine computes the fixpoint.  It encodes each brick once
-and runs every direction on the packed rows.  In a fixed direction cix
-is commutative, associative and idempotent, so the closure grows one
-input at a time: each input is combined with every live row in one
-numpy block.  With the trace on, each new row records the live row and
-the input it came from, so a derivation trace (needed to rebuild
-explicit tilings) comes from the same run.  Mid-closure pruning
-(dropping any brick another brick divides) is on by default and does
-not change the minimal set, because combines are monotone in each
-argument; pass prune=False to cross-check.  minimal_elements and
-BrickAntichain.validate run the same packed subset test on rows of the
-same codec.
+and runs every direction on the rows.  In a fixed direction cix is
+commutative, associative and idempotent, so the closure grows one input
+at a time: each input is combined with every live row.  The live rows
+are bit-sliced, one int per row bit with a bit per row (Biham's
+bit-slicing), so finding the live rows that divide a candidate, or that
+it divides, takes one OR or AND per irreducible bit of its side codes.
+With the trace on, each new row records the live row and the input it
+came from, so a derivation trace (needed to rebuild explicit tilings)
+comes from the same run.  Mid-closure pruning (dropping any brick
+another brick divides) is on by default and does not change the
+minimal set, because combines are monotone in each argument; pass
+prune=False to cross-check.  minimal_elements and
+BrickAntichain.validate run the same sliced test on rows of the same
+codec.
 
 One tilability decision needs less than M(P).  Joining with a fixed
 element of a distributive lattice is a lattice homomorphism, so
@@ -44,11 +47,11 @@ T's row is live; a proto that divides T answers before any codec.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 import functools
+import math
 import re
-
-import numpy as np
 
 from . import dedekind
 from .numlat import (
@@ -118,8 +121,8 @@ class _NatLattice:
         return divides_nat(a, b)
 
     @staticmethod
-    def sort_key(a):
-        return a.value
+    def sort_key(sides):
+        return _NatOrder(sides)
 
     @staticmethod
     def render_side(a):
@@ -130,7 +133,9 @@ class _NatLattice:
         """Rank codes: each prime gets a field, and its exponent in a value
         is coded as r low ones, r the exponent's rank among those the
         prime takes in values (0 counts where a value lacks the prime).
-        min and max never leave that set, so gcd and lcm are AND and OR."""
+        min and max never leave that set, so gcd and lcm are AND and OR.
+        A field's code is its low r bits, so it is spanned by its last one
+        and its first zero."""
         values = set(values)
         seen: dict[int, list[int]] = {}
         for v in values:
@@ -158,7 +163,43 @@ class _NatLattice:
                     pairs.append((p, e))
             return FactoredNat(tuple(pairs))
 
-        return nbits, encode, decode
+        # the fields tile bits 0..nbits - 1, so each one's last bit is
+        # the bit below the next one's first, or the top bit
+        firsts = sum(1 << at for at, exps, _ in fields.values() if exps[1:])
+        lasts = firsts >> 1 | 1 << nbits >> 1
+
+        def probe(code):
+            return (_bits(code & ~(code >> 1 & ~lasts)),
+                    _bits(~code & (code << 1 | firsts) & (1 << nbits) - 1))
+
+        return nbits, encode, decode, probe
+
+
+class _NatOrder:
+    """Sort key of a tuple of naturals, by value side by side, without
+    expanding them: two logs further apart than their rounding error (a
+    relative 1e-9 is far above it) decide, and only closer ones compare
+    the exact quotients by the gcd."""
+
+    __slots__ = ("nats",)
+
+    def __init__(self, nats: tuple):
+        self.nats = nats
+
+    def __lt__(self, other):
+        for a, b in zip(self.nats, other.nats):
+            if a.factors != b.factors:
+                gap = a.log - b.log
+                if abs(gap) > 1e-9 * (1 + a.log + b.log):
+                    return gap < 0
+                g = gcd_nat(a, b)
+                return _quotient(a, g) < _quotient(b, g)
+        return len(self.nats) < len(other.nats)
+
+
+def _quotient(a: FactoredNat, g: FactoredNat) -> int:
+    """a / g for g dividing a."""
+    return math.prod(p ** (e - g.exponent(p)) for p, e in a.factors)
 
 
 # a phrase side over k letters is a 2^k-bit table
@@ -183,8 +224,8 @@ class _PhraseLattice:
         return dedekind.leq(a, b)
 
     @staticmethod
-    def sort_key(a):
-        return phrase_key(a)
+    def sort_key(sides):
+        return tuple(map(phrase_key, sides))
 
     @staticmethod
     def render_side(a):
@@ -194,7 +235,9 @@ class _PhraseLattice:
     def side_codec(values):
         """Truth tables over the letters the values use, renumbered 1..k
         in increasing order, which keeps word order: meet is AND, join
-        is OR.  More than _MAX_LETTERS letters raise before any table."""
+        is OR.  More than _MAX_LETTERS letters raise before any table.
+        A table's irreducible bits are its words and its maximal false
+        assignments."""
         used = sorted({l for v in values for w in v.words for l in w})
         if len(used) > _MAX_LETTERS:
             raise GuardExceeded(f"phrase bricks use {len(used)} distinct "
@@ -206,7 +249,8 @@ class _PhraseLattice:
             return Phrase(tuple(tuple(new[l] for l in w) for w in p.words))
 
         return (1 << k, lambda v: dedekind.phrase_tt(relabel(v, to), k),
-                lambda code: relabel(dedekind.phrase_from_tt(code, k), back))
+                lambda code: relabel(dedekind.phrase_from_tt(code, k), back),
+                lambda code: tuple(map(_bits, dedekind.tt_extremes(code, k))))
 
 
 NAT_LATTICE = _NatLattice()
@@ -267,8 +311,7 @@ def brick(*sides) -> Brick:
 
 
 def brick_sort_key(b: Brick):
-    lat = lattice_of(b)
-    return tuple(lat.sort_key(s) for s in b.sides)
+    return lattice_of(b).sort_key(b.sides)
 
 
 def _check_same_shape(bricks) -> int:
@@ -316,76 +359,112 @@ def cix(delta: int, a: Brick, b: Brick) -> Brick:
 # packed rows: meet = AND, join = OR, divides = bit subset
 
 
+def _bits(x: int) -> list[int]:
+    """The positions of the set bits of x, in increasing order."""
+    return [m.start() for m in re.finditer("1", bin(x)[:1:-1])]
+
+
 class _BrickCodec:
-    """Bricks of one shape as rows of 64-bit words.  Side i of a brick
-    holds bits [i * stride, (i + 1) * stride) of its row: the side's code
-    under its lattice's side_codec, built from every side of the bricks
-    given, with the rest of the last word zero.  Meet, join and
-    divisibility act side by side, so on rows cix is AND on the delta
-    field and OR elsewhere, and divisibility is bit subset.  Decoding
-    shifts the side codes out of a row and decodes each distinct code
-    once."""
+    """Bricks of one shape as int rows.  Side i of a brick holds bits
+    [i * stride, (i + 1) * stride) of its row: the side's code under its
+    lattice's side_codec, built from every side of the bricks given.
+    Meet, join and divisibility act side by side, so on rows cix is AND
+    on the delta field and OR elsewhere, and divisibility is bit subset.
+    Each distinct side code is decoded, probed and split into bits once.
+
+    Side codes are down-sets of a bit order, so probe(code) gives the
+    ones and the zeros that span the rest: a code holds another exactly
+    when it has the other's probed ones, and lies within it exactly when
+    it has none of the other's probed zeros."""
 
     def __init__(self, bricks):
         self.dim = _check_same_shape(bricks)
-        self.stride, self._encode, decode = lattice_of(bricks[0]).side_codec(
-            [s for b in bricks for s in b.sides])
+        self.stride, self._encode, decode, probe = lattice_of(
+            bricks[0]).side_codec([s for b in bricks for s in b.sides])
         self._decode = functools.cache(decode)
+        self.probe = functools.cache(probe)
+        # as arrays: a table over 20 letters has half a million set bits
+        self.bits = functools.cache(lambda code: array("I", _bits(code)))
         self.ones = (1 << self.stride) - 1
-        self.nbytes = 8 * max(1, -(-self.stride * self.dim // 64))
 
-    def rows(self, bricks) -> np.ndarray:
-        """One row of words per brick, all from one buffer."""
-        buf = b"".join(
-            sum(self._encode(s) << i * self.stride
-                for i, s in enumerate(b.sides)).to_bytes(self.nbytes, "little")
-            for b in bricks)
-        return np.frombuffer(buf, dtype="<u8").reshape(len(bricks), -1)
+    def rows(self, bricks) -> list[int]:
+        return [sum(self._encode(s) << i * self.stride
+                    for i, s in enumerate(b.sides)) for b in bricks]
 
-    def decode(self, row: bytes) -> Brick:
-        code = int.from_bytes(row, "little")
-        return Brick(tuple(self._decode(code >> i * self.stride & self.ones)
-                           for i in range(self.dim)))
+    def sides(self, row: int) -> list[int]:
+        return [row >> i * self.stride & self.ones for i in range(self.dim)]
 
-    def side_mask(self, delta: int) -> np.ndarray:
-        """The words of a row with every bit of side delta set."""
-        mask = self.ones << (delta - 1) * self.stride
-        return np.frombuffer(mask.to_bytes(self.nbytes, "little"), dtype="<u8")
+    def decode(self, row: int) -> Brick:
+        return Brick(tuple(map(self._decode, self.sides(row))))
+
+    def side_mask(self, delta: int) -> int:
+        """A row with every bit of side delta set."""
+        return self.ones << (delta - 1) * self.stride
 
 
-def _divisor_counts(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """For each candidate, the number of rows that divide it (bit subset),
-    both given as uint64 word matrices; candidates go in chunks that keep
-    the temporaries near a quarter million words."""
-    cols = np.ascontiguousarray(rows.T)
-    out = np.empty(len(cands), dtype=np.int64)
-    step = max(1, (1 << 18) // rows.size)
-    for s in range(0, len(cands), step):
-        outside = ~cands[s:s + step].T
-        miss = cols[0] & outside[0, :, None]
-        for w in range(1, len(cols)):
-            miss |= cols[w] & outside[w, :, None]
-        out[s:s + step] = (miss == 0).sum(axis=1)
-    return out
+class _Slices:
+    """Rows of one codec, bit-sliced by slot: bit s of cols[i][k] says
+    whether the row in slot s has bit k of side i, and alive marks the
+    slots still held."""
+
+    def __init__(self, codec: _BrickCodec, rows=()):
+        self.codec, self.rows, self.alive = codec, [], 0
+        self.cols = [[0] * codec.stride for _ in range(codec.dim)]
+        self.by_side = [(cols, i * codec.stride)
+                        for i, cols in enumerate(self.cols)]
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: int) -> int:
+        """Hold row in a new slot, and return the slot."""
+        s = len(self.rows)
+        bit = 1 << s
+        self.rows.append(row)
+        self.alive |= bit
+        bits = self.codec.bits
+        for cols, code in zip(self.cols, self.codec.sides(row)):
+            for k in bits(code):
+                cols[k] |= bit
+        return s
+
+    def live(self) -> list[int]:
+        return [self.rows[s] for s in _bits(self.alive)]
+
+    def below(self, row: int, sides=None) -> int:
+        """The live slots whose rows divide row, on the given sides."""
+        probe, ones, miss = self.codec.probe, self.codec.ones, 0
+        for cols, at in sides or self.by_side:
+            for k in probe(row >> at & ones)[1]:
+                miss |= cols[k]
+        return self.alive & ~miss
+
+    def above(self, row: int, sides=None) -> int:
+        """The live slots whose rows row divides, on the given sides."""
+        probe, ones, hit = self.codec.probe, self.codec.ones, self.alive
+        for cols, at in sides or self.by_side:
+            for k in probe(row >> at & ones)[0]:
+                hit &= cols[k]
+        return hit
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a C-contiguous uint64 word matrix."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+def _divisors(bricks) -> list[int]:
+    """For each brick, bit i set when the i-th brick divides it."""
+    codec = _BrickCodec(bricks)
+    rows = codec.rows(bricks)
+    return list(map(_Slices(codec, rows).below, rows))
 
 
 # ---------------------------------------------------------------------------
 # the closure
 
-# cap on the bricks a closure may hold at once, checked before a step's
-# new rows are appended; mostly relevant with prune=False, where the
-# held set is not an antichain
+# cap on the bricks a closure may hold at once, checked after each step;
+# mostly relevant with prune=False, where the held set is not an antichain
 _CLOSURE_CAP = 5_000_000
 
 
-def _close(delta, rows, mask, prune, derived, inputs):
-    """Close distinct packed rows under cix in direction delta, whose
-    bits are set in mask, adding one input at a time.
+def _close(delta, rows, codec, prune, derived, inputs):
+    """Close distinct rows under cix in direction delta, adding one input
+    at a time.
 
     cix in a fixed direction is commutative, associative and idempotent,
     so adding an input b to the closure C of the inputs before it gives
@@ -393,51 +472,53 @@ def _close(delta, rows, mask, prune, derived, inputs):
     elements of live + b + cix(live, b).  Each step is one block of
     candidates.  Before any subset test, a live row m is skipped when m
     divides cix(m, b) (m_delta within b_delta) or b does (b_delta within
-    m_delta); the rest are deduped by their bytes, those a live row or
-    another new row divides are rejected, and the live rows a new row
-    divides are evicted.  Without pruning every row not held yet is
-    kept.  Returns the live rows.  When derived is a list, each kept row
-    c = cix(m, b) whose bytes are not in inputs is appended to it as
-    (delta, c, m, b), rows as bytes.
+    m_delta).  The rest are deduped and taken in turn: one that a live
+    row divides is rejected, any other evicts the live rows it divides
+    and goes live.  The live rows are sliced again, in order, once
+    evicted slots outnumber them.  Without pruning every row not held yet
+    is kept.  Returns the live rows.  When derived is a list, each kept
+    row c = cix(m, b) not in inputs is appended to it as (delta, c, m, b).
     """
-    other = ~mask
-    live, row_keys = rows[:1], _row_keys(rows)
-    held = set(row_keys[:1])  # every row of live, without pruning
-    for b, bkey in zip(rows[1:], row_keys[1:]):
+    other = ~codec.side_mask(delta)
+    live = _Slices(codec, rows[:1]) if prune else rows[:1]
+    held = set(rows[:1])  # every row of live, without pruning
+    for b in rows[1:]:
         if prune:
-            if not (live & ~b).any(axis=1).all():
+            if live.below(b):
                 continue  # a live row divides b, and so every cix(m, b)
-            bm = b & mask
-            par = live[(live & (mask & ~b)).any(axis=1)
-                       & ((live & bm) != bm).any(axis=1)]
+            side = (live.by_side[delta - 1],)
+            par = live.alive & ~live.below(b, side) & ~live.above(b, side)
+            par = [live.rows[s] for s in _bits(par)]
+        elif b in held:
+            continue  # the closure already holds b and cix(live, b)
         else:
-            if bkey in held:
-                continue  # the closure already holds b and cix(live, b)
             par = live
         # b leads the block, so row i > 0 is cix(par[i - 1], b)
-        block = np.vstack([b, (par & (b | other)) | (b & other)])
-        keys = _row_keys(block)
+        bm, bo = b | other, b & other
+        block = [b] + [m & bm | bo for m in par]
         if prune:
-            pick = np.fromiter(dict(zip(keys, range(len(keys)))).values(),
-                               dtype=np.intp)
-            surv = block[pick]
-            pick = pick[_divisor_counts(np.vstack([live, surv]), surv) == 1]
+            slots = {}  # the last occurrence of each distinct row, in order
+            for i in dict(zip(block, range(len(block)))).values():
+                # b is first, and no live row divides it
+                if not (i and live.below(block[i])):
+                    live.alive &= ~live.above(block[i])
+                    slots[i] = live.add(block[i])
+            pick = [i for i, s in slots.items() if live.alive >> s & 1]
+            size = live.alive.bit_count()
+            if 2 * size < len(live.rows):
+                live = _Slices(codec, live.live())
         else:
-            fresh = {k: i for i, k in enumerate(keys) if k not in held}
+            fresh = {c: i for i, c in enumerate(block) if c not in held}
             held.update(fresh)
-            pick = np.fromiter(fresh.values(), dtype=np.intp)
-        new = block[pick]
-        if prune and len(new):
-            live = live[_divisor_counts(new, live) == 0]
-        if len(live) + len(new) > _CLOSURE_CAP:
+            pick = list(fresh.values())
+            live.extend(block[i] for i in pick)
+            size = len(live)
+        if size > _CLOSURE_CAP:
             raise GuardExceeded("closure exceeded the size cap")
         if derived is not None:
-            pkeys = _row_keys(par)
-            derived.extend((delta, keys[i], pkeys[i - 1], bkey)
-                           for i in pick.tolist()
-                           if i and keys[i] not in inputs)
-        live = np.vstack([live, new])
-    return live
+            derived.extend((delta, block[i], par[i - 1], b) for i in pick
+                           if i and block[i] not in inputs)
+    return live.live() if prune else live
 
 
 def _closure(bricks, deltas, prune, trace, progress=None):
@@ -450,18 +531,18 @@ def _closure(bricks, deltas, prune, trace, progress=None):
     codec = _BrickCodec(start)
     rows = codec.rows(start)
     derived = [] if trace is not None else None
-    inputs = set(_row_keys(rows)) if trace is not None else None
+    inputs = set(rows) if trace is not None else None
     for delta in deltas:
-        rows = _close(delta, rows, codec.side_mask(delta), prune, derived, inputs)
+        rows = _close(delta, rows, codec, prune, derived, inputs)
         if trace is not None:
-            inputs.update(_row_keys(rows))
+            inputs.update(rows)
         if progress is not None:
             progress(f"direction {delta}/{codec.dim}: {len(rows)} bricks")
     decode = codec.decode
     if trace is not None:
         for delta, c, a, b in derived:
             trace.setdefault(decode(c), (delta, decode(a), decode(b)))
-    return sorted(map(decode, _row_keys(rows)), key=brick_sort_key)
+    return sorted(map(decode, rows), key=brick_sort_key)
 
 
 def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
@@ -518,13 +599,10 @@ class BrickAntichain:
         bs = self.bricks
         if len(bs) <= 1:
             return
-        mat = _BrickCodec(bs).rows(bs)
-        over = np.flatnonzero(_divisor_counts(mat, mat) > 1)
-        if over.size:  # brick j has a divisor beyond itself
-            j = int(over[0])
-            i = next(i for i, b in enumerate(bs)
-                     if i != j and brick_divides(b, bs[j]))
-            raise ValueError(f"not an antichain: {bs[i]} divides {bs[j]}")
+        for j, below in enumerate(_divisors(bs)):
+            if others := below & ~(1 << j):
+                i = _bits(others)[0]
+                raise ValueError(f"not an antichain: {bs[i]} divides {bs[j]}")
 
     def find_divisor(self, target: Brick) -> Brick | None:
         for m in self.bricks:
@@ -538,9 +616,8 @@ def minimal_elements(bricks) -> BrickAntichain:
     bl = sorted(set(bricks), key=brick_sort_key)
     if not bl:
         raise ValueError("minimal_elements of an empty set")
-    mat = _BrickCodec(bl).rows(bl)
-    counts = _divisor_counts(mat, mat).tolist()
-    return BrickAntichain.of(b for b, c in zip(bl, counts) if c == 1)
+    return BrickAntichain.of(b for s, (b, below) in enumerate(
+        zip(bl, _divisors(bl))) if below == 1 << s)
 
 
 def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
@@ -549,8 +626,11 @@ def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
     full combine closure.  Finite, an antichain, and the complete
     tilability criterion for P."""
     closed = ext_all(bricks, prune=prune, trace=trace, progress=progress)
-    # a pruned closure is already the antichain of its minimal elements
-    return BrickAntichain.of(closed) if prune else minimal_elements(closed)
+    if not prune:
+        return minimal_elements(closed)
+    # a pruned closure is already the antichain of its minimal elements,
+    # in canonical order
+    return BrickAntichain(tuple(closed), frozenset(closed))
 
 
 def rank(bricks) -> int:
@@ -594,11 +674,10 @@ def decide(target: Brick, protos, prune: bool = True) -> bool:
     if target in lifted:
         return True  # a proto divides the target
     codec = _BrickCodec([target] + lifted)
-    goal = codec.rows([target])[0]
-    rows = codec.rows(lifted)
+    goal, *rows = codec.rows([target] + lifted)
     for delta in range(1, d + 1):
-        rows = _close(delta, rows, codec.side_mask(delta), prune, None, None)
-        if (rows == goal).all(axis=1).any():
+        rows = _close(delta, rows, codec, prune, None, None)
+        if goal in rows:
             return True
     return False
 

@@ -17,7 +17,9 @@ with primes strictly increasing left to right, e.g. ``2^1*3^1*5^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
+import math
 import re
 
 __all__ = [
@@ -124,6 +126,11 @@ class FactoredNat:
 
     def __int__(self) -> int:
         return self.value
+
+    @cached_property
+    def log(self) -> float:
+        """The natural log of the value, from the factors alone."""
+        return math.fsum(e * math.log(p) for p, e in self.factors)
 
     def exponent(self, p: int) -> int:
         for q, e in self.factors:
@@ -244,7 +251,8 @@ def render_nat(x: FactoredNat, style: str = "factored") -> str:
     """
     if style not in ("factored", "decimal", "auto"):
         raise ValueError(f"unknown style {style!r}")
-    if style in ("decimal", "auto"):
+    # e^28 > 10^12, so auto expands no value far above the bound
+    if style == "decimal" or style == "auto" and x.log < 28:
         v = x.value
         if style == "decimal":
             if v > _U64_MAX:

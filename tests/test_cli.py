@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,6 +17,19 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_only_the_standard_library():
+    """Every run pays for what the CLI imports, and a third-party array
+    library once took most of its start-up time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; before = set(sys.modules); "
+             f"sys.path.insert(0, {src!r}); import brickrank.cli; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(new - sys.stdlib_module_names - {'brickrank'}))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_minimal_set_inline(capsys):

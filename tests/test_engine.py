@@ -34,7 +34,7 @@ from brickrank.engine import (
     rank,
     render_brick,
 )
-from brickrank.engine import _BrickCodec, _divisor_counts
+from brickrank.engine import _BrickCodec, _Slices, _close
 from brickrank.numlat import FactoredNat, lcm_nat, nat
 
 FIG1 = [brick(25, 3), brick(9, 8), brick(16, 5)]
@@ -104,6 +104,36 @@ def test_random_brick_text_round_trip():
 
 # ---------------------------------------------------------------------------
 # divisibility
+
+
+def test_sort_key_orders_naturals_by_value():
+    rng = random.Random(83)
+
+    def nat_():
+        return FactoredNat(tuple((p, rng.randint(1, 60)) for p in (2, 3, 5, 7)
+                                 if rng.random() < 0.6))
+
+    pairs = [(nat_(), nat_()) for _ in range(400)]
+    # 2^p and 3^q from convergents of log2(3): the logs of the first three
+    # pairs agree to within their 1e-9 slack, so their exact values decide
+    near = [((2, 24727), (3, 15601)), ((2, 50508), (3, 31867)),
+            ((2, 125743), (3, 79335)), ((2, 1054), (3, 665))]
+    five = nat(5)
+    for x, y in near:
+        a, b = FactoredNat((x,)), FactoredNat((y,))
+        pairs += [(a, b), (b, a), (a, a),
+                  (lcm_nat(a, five), lcm_nat(b, five))]
+    for a, b in pairs:
+        assert ((brick_sort_key(Brick((a,))) < brick_sort_key(Brick((b,))))
+                == (a.value < b.value)), (a, b)
+    bricks = [Brick((a, b)) for a, b in pairs]
+    assert (sorted(bricks, key=brick_sort_key)
+            == sorted(bricks, key=lambda b: tuple(s.value for s in b.sides)))
+    # too big to expand, with logs that round to one float
+    a, b = (Brick((FactoredNat(((2, 10**17), (p, 1))),)) for p in (3, 5))
+    assert a.sides[0].log == b.sides[0].log
+    assert brick_sort_key(a) < brick_sort_key(b)
+    assert not brick_sort_key(b) < brick_sort_key(a)
 
 
 def test_brick_divides_examples():
@@ -406,23 +436,82 @@ def _codec_cases():
 def test_codec_is_a_lattice_embedding(bricks):
     codec = _BrickCodec(bricks)
     rows = codec.rows(bricks)
-    assert [codec.decode(r.tobytes()) for r in rows] == bricks
-    counts = _divisor_counts(rows, rows).tolist()
+    assert [codec.decode(r) for r in rows] == bricks
+    sliced = _Slices(codec, rows)
+    counts = [sliced.below(r).bit_count() for r in rows]
     assert counts == [sum(brick_divides(a, b) for a in bricks) for b in bricks]
+    counts = [sliced.above(r).bit_count() for r in rows]
+    assert counts == [sum(brick_divides(b, a) for a in bricks) for b in bricks]
     for (a, ra), (b, rb) in combinations(zip(bricks, rows), 2):
-        assert (not (ra & ~rb).any()) == brick_divides(a, b)
-        assert (not (rb & ~ra).any()) == brick_divides(b, a)
+        assert (ra & ~rb == 0) == brick_divides(a, b)
+        assert (rb & ~ra == 0) == brick_divides(b, a)
         for delta in range(1, a.dim + 1):
             mask = codec.side_mask(delta)
             packed = (ra & rb & mask) | ((ra | rb) & ~mask)
-            assert codec.decode(packed.tobytes()) == cix(delta, a, b)
+            assert codec.decode(packed) == cix(delta, a, b)
 
 
 def test_codec_width_counts_exponents_not_their_size():
     bricks = [brick("2^1000000", 1), brick(3, 1)]
-    rows = _BrickCodec(bricks).rows(bricks)
-    assert rows.shape == (2, 1)
+    assert _BrickCodec(bricks).stride == 2
     assert minimal_set(bricks).bricks == (brick(1, 1),)
+
+
+def _pairwise_close(delta, rows, mask, prune, inputs):
+    """_close by plain pairwise subset tests on the whole block: the live
+    rows, and each kept row's (delta, c, m, b) with m the last live row
+    whose combine with b gave c."""
+    live, derived = rows[:1], []
+    for b in rows[1:]:
+        if prune:
+            if any(m & ~b == 0 for m in live):
+                continue
+            par = [m for m in live if m & mask & ~b and b & mask & ~m]
+        elif b in live:
+            continue
+        else:
+            par = list(live)
+        last = {}
+        for i, c in enumerate([b] + [m & b | (m | b) & ~mask for m in par]):
+            last[c] = i
+        if prune:
+            new = [c for c in last if not any(m & ~c == 0 for m in live)
+                   and not any(o & ~c == 0 and o != c for o in last)]
+            live = [m for m in live if not any(c & ~m == 0 for c in new)]
+        else:
+            new = [c for c in last if c not in live]
+        live = live + new
+        derived += [(delta, c, par[last[c] - 1], b) for c in new
+                    if last[c] and c not in inputs]
+    return live, derived
+
+
+def test_close_matches_pairwise_reference(monkeypatch):
+    sliced = []
+
+    class Counted(_Slices):
+        def __init__(self, codec, rows=()):
+            sliced.append(len(rows))
+            super().__init__(codec, rows)
+
+    monkeypatch.setattr(brickrank.engine, "_Slices", Counted)
+    rng = random.Random(71)
+    sides = (1, 2, 3, 4, 6, 8, 9, 12, 18, 36)
+    cases = [{brick(*rng.choices(sides, k=d)) for _ in range(40)}
+             for d in (2, 3) for _ in range(4)]
+    cases += [set(_random_phrase_bricks(rng, 10, 3, 5)) for _ in range(2)]
+    for bricks in map(list, cases):
+        codec = _BrickCodec(bricks)
+        rows = codec.rows(bricks)
+        rng.shuffle(rows)
+        for prune in (True, False):
+            for delta in range(1, codec.dim + 1):
+                derived = []
+                got = _close(delta, rows, codec, prune, derived, set(rows))
+                assert (got, derived) == _pairwise_close(
+                    delta, rows, codec.side_mask(delta), prune, set(rows))
+    # some closures sliced their live rows again after evictions
+    assert sum(n > 1 for n in sliced) >= 10
 
 
 def _rename(b, f):

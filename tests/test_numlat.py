@@ -136,6 +136,11 @@ def test_render_nat_styles():
     assert render_nat(huge, style="auto") == "2^200"
     with pytest.raises(ValueError):
         render_nat(huge, style="decimal")
+    # auto picks decimal up to 10^12, and never expands a far larger value
+    assert render_nat(nat(10**12), style="auto") == str(10**12)
+    assert render_nat(nat_from_factors({2: 40}), style="auto") == "2^40"
+    vast = nat_from_factors({2: 10**17})
+    assert render_nat(vast, style="auto") == f"2^{10**17}"
 
 
 def test_parse_render_round_trip():
