@@ -34,22 +34,19 @@ from . import dedekind
 from .dedekind import Phrase, phrase_key, render_phrase
 from .engine import (
     Brick,
-    BrickAntichain,
     GuardExceeded,
-    brick_divides,
     cix,
     ext_dir,
     parse_brick,
-    render_brick,
 )
 
 __all__ = [
     "SymBrick",
+    "symbrick",
     "Archetype",
     "Certificate",
     "FactViolation",
     "CheckpointError",
-    "envelope_of",
     "is_balanced",
     "true_dim",
     "rep_at_level",
@@ -66,7 +63,6 @@ __all__ = [
     "check_fact_F4",
     "check_d2_bijection",
     "arch_count_table",
-    "probe_disjoint_cix",
 ]
 
 
@@ -118,17 +114,6 @@ def symbrick(sides, envelope: Phrase | None = None) -> SymBrick:
     while sides and sides[-1] == envelope:
         sides = sides[:-1]
     return SymBrick(sides, envelope)
-
-
-def envelope_of(b) -> Phrase:
-    """Pure sum over the alphabet; accepts SymBrick, Brick or phrases."""
-    if isinstance(b, SymBrick):
-        return b.envelope
-    sides = b.sides if isinstance(b, Brick) else tuple(b)
-    letters = set()
-    for s in sides:
-        letters |= dedekind.phrase_alphabet(s)
-    return _pure_sum(letters)
 
 
 def is_balanced(b: SymBrick) -> bool:
@@ -477,8 +462,6 @@ def render_polynomial(coeffs) -> str:
 def check_fact_F4(n: int, allow_big: bool = False) -> bool:
     """The nested brick (..((w1 cix_1 w2) cix_2 w3) ..) cix_(n-1) wn is
     minimal with true dimension n - 1."""
-    if n == 1:
-        return true_dim(SymBrick((), _pure_sum([1]))) == 0
     cur = SymBrick((), _pure_sum([1]))
     for k in range(2, n + 1):
         lvl = k - 1
@@ -511,32 +494,3 @@ def arch_count_table(n: int, allow_big: bool = False) -> list[int]:
         out[a.tau] += 1
     return out
 
-
-def probe_disjoint_cix(b: SymBrick, c: SymBrick,
-                       allow_big: bool = False) -> tuple[SymBrick, bool]:
-    """Experimental: combine two minimal bricks after relabeling their
-    alphabets apart, and report whether the result is minimal over the
-    joint alphabet.  Returns (combined brick, minimality observed)."""
-    nb = max(dedekind.phrase_alphabet(b.envelope))
-    shifted = _shift_letters(c, nb)
-    n = nb + max(dedekind.phrase_alphabet(c.envelope))
-    lvl = max(len(b.prefix), len(shifted.prefix)) + 1
-    combined = symbrick_from_rep(
-        cix(lvl, rep_at_level(b, lvl), rep_at_level(shifted, lvl))
-    )
-    cert = certificate(n, allow_big=allow_big)
-    d = len(cert.levels) - 1
-    if len(combined.prefix) <= d:
-        found = combined in cert.level_set(d)
-    else:
-        found = False
-    return combined, found
-
-
-def _shift_letters(b: SymBrick, offset: int) -> SymBrick:
-    def shift(p: Phrase) -> Phrase:
-        return Phrase(tuple(
-            tuple(l + offset for l in w) for w in p.words
-        ))
-
-    return SymBrick(tuple(shift(s) for s in b.prefix), shift(b.envelope))

@@ -16,7 +16,6 @@ from .archetypes import (
     CheckpointError,
     FactViolation,
     certificate,
-    lattice_maxrank,
     rank_polynomial,
     render_archetype,
     render_polynomial,
@@ -112,13 +111,14 @@ def cmd_minimal_set(args) -> int:
 def cmd_tilable(args) -> int:
     target = parse_brick(args.target)
     protos = _read_bricks(args.bricks, args.input)
+    if args.witness and any(lattice_of(b) is not NAT_LATTICE
+                            for b in [target] + protos):
+        raise BrickParseError("--witness needs numeric bricks")
     prune = not args.no_prune
     if not args.witness:
         ok = decide(target, protos, prune=prune)
     else:
         ok = is_tilable(target, minimal_set(protos, prune=prune))
-        if lattice_of(target) is not NAT_LATTICE:
-            raise BrickParseError("--witness needs numeric bricks")
         if ok:
             sys.stdout.write(witness_to_json(tile_witness(protos, target)))
             return 0

@@ -48,7 +48,7 @@ T's row is live; a proto that divides T answers before any codec.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import math
 import re
@@ -258,12 +258,7 @@ PHRASE_LATTICE = _PhraseLattice()
 
 
 def lattice_of(b: "Brick"):
-    s = b.sides[0]
-    if isinstance(s, FactoredNat):
-        return NAT_LATTICE
-    if isinstance(s, Phrase):
-        return PHRASE_LATTICE
-    raise TypeError(f"unsupported sidelength type {type(s).__name__}")
+    return NAT_LATTICE if isinstance(b.sides[0], FactoredNat) else PHRASE_LATTICE
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +573,10 @@ class BrickAntichain:
     """Bricks pairwise incomparable under divisibility, canonical order."""
 
     bricks: tuple[Brick, ...]
-    _index: frozenset = field(repr=False, compare=False, default=frozenset())
 
     @staticmethod
     def of(bricks) -> "BrickAntichain":
-        bs = tuple(sorted(set(bricks), key=brick_sort_key))
-        return BrickAntichain(bs, frozenset(bs))
+        return BrickAntichain(tuple(sorted(set(bricks), key=brick_sort_key)))
 
     def __iter__(self):
         return iter(self.bricks)
@@ -592,7 +585,7 @@ class BrickAntichain:
         return len(self.bricks)
 
     def __contains__(self, b: Brick) -> bool:
-        return b in (self._index or self.bricks)
+        return b in self.bricks
 
     def validate(self) -> None:
         """Raise if any two members are comparable (packed subset tests)."""
@@ -616,8 +609,8 @@ def minimal_elements(bricks) -> BrickAntichain:
     bl = sorted(set(bricks), key=brick_sort_key)
     if not bl:
         raise ValueError("minimal_elements of an empty set")
-    return BrickAntichain.of(b for s, (b, below) in enumerate(
-        zip(bl, _divisors(bl))) if below == 1 << s)
+    return BrickAntichain(tuple(b for s, (b, below) in enumerate(
+        zip(bl, _divisors(bl))) if below == 1 << s))
 
 
 def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
@@ -630,7 +623,7 @@ def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
         return minimal_elements(closed)
     # a pruned closure is already the antichain of its minimal elements,
     # in canonical order
-    return BrickAntichain(tuple(closed), frozenset(closed))
+    return BrickAntichain(tuple(closed))
 
 
 def rank(bricks) -> int:

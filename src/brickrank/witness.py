@@ -9,14 +9,14 @@ target box T by one recursive builder on exact integers:
   * a proto dividing T fills it with a full grid of copies;
   * a brick b derived by a combine of a and a' in direction delta
     dividing T reduces to a signed segment tiling of the whole delta
-    side of T by the delta-sides of a and a' (one extended-Euclid fold
-    at that length), with each segment tile thickened to a slab of T
+    side of T by the delta-sides of a and a' (Bezout coefficients from
+    a modular inverse), with each segment tile thickened to a slab of T
     and built from its parent the same way.
 
 So a multiple of a minimal brick is tiled directly, never by copying
-the brick's own witness into every cell.  A guard refuses any stage
-that would list more than _MAX_PLACEMENTS placements before it is
-allocated.
+the brick's own witness into every cell.  Guards refuse any stage that
+would list more than _MAX_PLACEMENTS placements, and any target or
+proto side of more than _MAX_DIGITS digits, read from its factors.
 
 verify_witness is the only normative check.  The difference operator
 prod_j (1 - shift_j) sends the box [o, o + s) to its 2^d corners
@@ -63,6 +63,10 @@ __all__ = [
 # a proto grid, or a node's placements before they are merged.
 _MAX_PLACEMENTS = 5_000_000
 
+# Sides below 10^_MAX_DIGITS keep a witness's numbers within CPython's
+# 4,300-digit limit on writing an int as text.
+_MAX_DIGITS = 4000
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -88,11 +92,25 @@ def _int_sides(b: Brick) -> tuple[int, ...]:
     return tuple(s.value for s in b.sides)
 
 
-def _guard(count: int, what: str) -> None:
+def _check_sizes(bricks) -> None:
+    """Refuse a numeric side of more than _MAX_DIGITS digits, read from
+    its factors before any side is expanded."""
+    for b in bricks:
+        if lattice_of(b) is NAT_LATTICE and max(
+                s.log for s in b.sides) >= _MAX_DIGITS * math.log(10):
+            raise GuardExceeded(f"witness brick {render_brick(b)} has a side "
+                                f"of more than {_MAX_DIGITS} digits")
+
+
+def _num(n: int) -> str:
+    return str(n) if n < 10**_MAX_DIGITS else f"a {n.bit_length()}-bit number"
+
+
+def _guard(count: int, what) -> None:
+    """Refuse more than _MAX_PLACEMENTS placements; calls what() only then."""
     if count > _MAX_PLACEMENTS:
-        raise GuardExceeded(
-            f"witness {what} needs {count} placements (> {_MAX_PLACEMENTS})"
-        )
+        raise GuardExceeded(f"witness {what()} needs {_num(count)} "
+                            f"placements (> {_MAX_PLACEMENTS})")
 
 
 def _placements(acc: dict) -> tuple[Placement, ...]:
@@ -115,16 +133,14 @@ def _add_corners(acc: dict, offsets, sides, coeffs) -> None:
             acc[k] = get(k, 0) + c
 
 
-def verify_witness(w: TilingWitness, protos=None) -> bool:
+def verify_witness(w: TilingWitness) -> bool:
     """Exact check that w is a signed tiling of its target.
 
     Sums the signed corners of every placement, starting from the
     target's corners negated: w is valid exactly when every corner
     cancels.  No grid is built, so the size of the boxes does not
-    matter.  protos defaults to the set carried by the witness itself.
+    matter.
     """
-    if protos is not None:
-        w = TilingWitness(w.target, tuple(protos), w.placements)
     d = w.target.dim
     tsides = _int_sides(w.target)
     psides = [_int_sides(p) for p in w.protos]
@@ -147,7 +163,8 @@ def _grid(sides: tuple[int, ...], box: tuple[int, ...]) -> list[tuple[int, ...]]
     """Offsets of copies of a brick with the given sides, one per cell of
     the quotient box, in canonical order; the sides divide box."""
     counts = [t // s for s, t in zip(sides, box)]
-    _guard(math.prod(counts), f"grid of {'x'.join(map(str, counts))} copies")
+    _guard(math.prod(counts),
+           lambda: f"grid of {'x'.join(map(_num, counts))} copies")
     return [tuple(i * s for i, s in zip(idx, sides))
             for idx in product(*map(range, counts))]
 
@@ -157,17 +174,10 @@ def parallel_pack(b: Brick, target: Brick) -> TilingWitness | None:
     translated copies, one per cell of the quotient box."""
     if not brick_divides(b, target):
         return None
+    _check_sizes((b, target))
     placements = tuple(Placement(0, off, 1)
                        for off in _grid(_int_sides(b), _int_sides(target)))
     return _checked(TilingWitness(target, (b,), placements))
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g."""
-    if b == 0:
-        return a, 1, 0
-    g, u, v = _ext_gcd(b, a % b)
-    return g, v, u - (a // b) * v
 
 
 def _segment_pair(x: int, y: int, t: int) -> list[tuple[int, int, int]]:
@@ -179,13 +189,14 @@ def _segment_pair(x: int, y: int, t: int) -> list[tuple[int, int, int]]:
     and v are both >= 0 the tiles lie end to end; otherwise the positive
     tiles overshoot t and the negative ones cancel the overshoot.
     """
-    g, u, _ = _ext_gcd(x, y)
+    g = math.gcd(x, y)
     m = y // g
-    u = u * (t // g) % m
+    u = pow(x // g, -1, m) * (t // g) % m
     if u > m - u:
         u -= m
     v = (t - u * x) // y
-    _guard(abs(u) + abs(v), f"segment tiling of {t} by {x} and {y}")
+    _guard(abs(u) + abs(v),
+           lambda: f"segment tiling of {_num(t)} by {_num(x)} and {_num(y)}")
     if u >= 0 and v >= 0:
         return ([(0, i * x, 1) for i in range(u)]
                 + [(1, u * x + i * y, 1) for i in range(v)])
@@ -220,7 +231,7 @@ def _build(protos: tuple[Brick, ...], trace: dict, b: Brick,
             slabs = [build(p, box[:k] + (s,) + box[k + 1:]).items()
                      for p, s in zip(parents, sides)]
             _guard(sum(len(slabs[which]) for which, _, _ in tiles),
-                   f"slab sum for {render_brick(b)}")
+                   lambda: f"slab sum for {render_brick(b)}")
             acc: dict[tuple[int, tuple[int, ...]], int] = {}
             get = acc.get
             for which, shift, c in tiles:
@@ -246,6 +257,7 @@ def combine_witness(delta: int, bricks: list[Brick]) -> TilingWitness:
     tilable by them: the combine folded left to right, each step a
     segment tiling along delta thickened to slabs of the target."""
     target = comb(delta, bricks)
+    _check_sizes((target, *bricks))
     box = _int_sides(target)
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
     acc = bricks[0]
@@ -268,6 +280,7 @@ def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     before being returned.
     """
     protos = tuple(dict.fromkeys(protoset))
+    _check_sizes((target, *protos))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
     M = minimal_set(protos, trace=trace)
     m = M.find_divisor(target)

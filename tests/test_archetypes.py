@@ -12,11 +12,9 @@ from brickrank.archetypes import (
     certificate,
     check_d2_bijection,
     check_fact_F4,
-    envelope_of,
     is_balanced,
     lattice_maxrank,
     placement_count,
-    probe_disjoint_cix,
     rank_polynomial,
     render_archetype,
     render_polynomial,
@@ -72,7 +70,7 @@ def test_true_dim_and_balance():
     env = parse_phrase("w+x")
     b = symbrick((parse_phrase("wx"),), env)
     assert true_dim(b) == 1
-    assert envelope_of(b) == env
+    assert b.envelope == env
     assert is_balanced(b)
     # a prefix side missing a letter of the envelope is unbalanced
     assert not is_balanced(symbrick((parse_phrase("w"),), env))
@@ -269,10 +267,3 @@ def test_d2_bijection_with_lattice():
     for n in (1, 2, 3, 4):
         assert check_d2_bijection(n)
 
-
-def test_probe_disjoint_cix_runs():
-    cert = certificate(2)
-    b = cert.levels[1][0]
-    out, minimal = probe_disjoint_cix(b, b)
-    assert isinstance(minimal, bool)
-    assert true_dim(out) <= 2 * max(true_dim(b), 1)

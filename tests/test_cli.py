@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+import resource
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import brickrank.cli as cli
 import brickrank.engine
 import brickrank.witness
 from brickrank.archetypes import FactViolation
-from brickrank.witness import verify_witness, witness_from_json
+from brickrank.witness import Placement, verify_witness, witness_from_json
 
 
 def run(capsys, *argv):
@@ -219,6 +220,65 @@ def test_tilable_witness_placement_guard(capsys, argv):
     code, out, err = run(capsys, "tilable", "--witness", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("guard:") and "placements" in err
+
+
+def test_tilable_witness_bezout_of_huge_coprime_sides(capsys):
+    # 2^5000 = 1 * 2^5000 + 0 * 3^5000, found without one frame per Euclid step
+    code, out, _ = run(capsys, "tilable", "--witness",
+                       "2^5000x1", "2^5000x1", "3^5000x1")
+    assert code == 0
+    w = witness_from_json(out)
+    assert w.placements == (Placement(0, (0, 0), 1),)
+    assert verify_witness(w)
+
+
+@pytest.mark.parametrize("argv", [
+    ("2^20001x1", "2^20000x1"),            # offsets past the text limit
+    ("5x1", "2^20000x1", "3^20000x1"),     # a 9,543-digit proto side
+])
+def test_tilable_witness_side_guard(capsys, argv):
+    code, out, err = run(capsys, "tilable", "--witness", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:") and "digits" in err
+
+
+def test_tilable_witness_side_guard_expands_nothing():
+    """A side of 2^(10^11) would take 12.5 GB to expand; the guard reads
+    its size from the factors.  The child runs under a 1.5 GB address
+    space limit, so a missing guard fails rather than exhausting memory."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = (f"import contextlib, io, json, sys, time; sys.path.insert(0, {src!r})\n"
+             "import brickrank.cli\n"
+             "out, err = io.StringIO(), io.StringIO()\n"
+             "start = time.perf_counter()\n"
+             "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "    code = brickrank.cli.main(['tilable', '--witness',\n"
+             "        '2^100000000000x1', '2^100000000000x1'])\n"
+             "print(json.dumps([code, out.getvalue(), err.getvalue(),\n"
+             "                  time.perf_counter() - start]))\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    code, out, err, seconds = json.loads(done.stdout)
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:") and "digits" in err
+    assert seconds < 0.5
+
+
+def test_tilable_witness_symbolic_refused_before_closure(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_set called")
+
+    monkeypatch.setattr(cli, "minimal_set", refuse)
+    many = "(" + "+".join(f"w{l}" for l in range(1, 21)) + ")"
+    code, out, err = run(capsys, "tilable", "--witness", "(w)x(w)",
+                         f"{many}x(w)", "(w)x(w2)", "(w3w4)x(w5+w6)")
+    assert (code, out) == (2, "")
+    assert "numeric" in err
 
 
 def test_tilable_witness_negative(capsys):

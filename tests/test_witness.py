@@ -7,7 +7,13 @@ import time
 
 import pytest
 
-from brickrank.engine import brick, minimal_set, parse_brick, render_brick
+from brickrank.engine import (
+    GuardExceeded,
+    brick,
+    minimal_set,
+    parse_brick,
+    render_brick,
+)
 from brickrank.witness import (
     Placement,
     TilingWitness,
@@ -17,6 +23,7 @@ from brickrank.witness import (
     verify_witness,
     witness_from_json,
     witness_to_json,
+    _segment_pair,
 )
 
 FIG1 = [brick(25, 3), brick(9, 8), brick(16, 5)]
@@ -90,9 +97,10 @@ def test_verify_rejects_wrong_dimension():
 
 def test_verify_with_proto_override():
     w = _hand_fig2_witness()
-    assert verify_witness(w, protos=FIG2)
+    assert verify_witness(TilingWitness(w.target, tuple(FIG2), w.placements))
     # swapping the roles of a and c breaks everything
-    assert not verify_witness(w, protos=[FIG2[2], FIG2[1], FIG2[0]])
+    swapped = (FIG2[2], FIG2[1], FIG2[0])
+    assert not verify_witness(TilingWitness(w.target, swapped, w.placements))
 
 
 def test_verify_needs_no_grid():
@@ -211,6 +219,48 @@ def test_parallel_pack_counts():
         assert w is not None
         assert len(w.placements) == math.prod(mult)
         assert verify_witness(w)
+
+
+def _check_segment_pair(x: int, y: int, t: int) -> None:
+    """The tiles of _segment_pair(x, y, t) cover [0, t) exactly once, and
+    the net count u of x-tiles is the residue with -y/g < 2u <= y/g."""
+    tiles = _segment_pair(x, y, t)
+    ends: Counter = Counter()
+    for which, off, c in tiles:
+        ends[off] -= c
+        ends[off + (x, y)[which]] += c
+    assert +ends == Counter({t: 1}) and -ends == Counter({0: 1})
+    u = sum(c for which, _, c in tiles if which == 0)
+    m = y // math.gcd(x, y)
+    assert -m < 2 * u <= m
+    assert (t - u * x) % y == 0
+
+
+def test_segment_pair_seeded_triples():
+    rng = random.Random(1998)
+    for _ in range(400):
+        x, y = rng.randrange(1, 500), rng.randrange(1, 500)
+        _check_segment_pair(x, y, math.gcd(x, y) * rng.randrange(1, 40))
+
+
+def test_segment_pair_consecutive_fibonacci():
+    # a recursive extended Euclid takes one frame per step: about 4,800
+    # for a pair of 1,000-digit Fibonacci numbers
+    a, b = 1, 1
+    while b < 10**999:
+        a, b = b, a + b
+    for x, y in ((a, b), (b, a)):
+        for t in (x, y, x + y):
+            _check_segment_pair(x, y, t)
+
+
+def test_constructors_refuse_sides_past_the_digit_bound():
+    big = parse_brick("2^20000x1")  # 6,021 digits
+    for make in (lambda: parallel_pack(big, big),
+                 lambda: combine_witness(1, [big, brick(3, 1)]),
+                 lambda: tile_witness([big], big)):
+        with pytest.raises(GuardExceeded, match="digits"):
+            make()
 
 
 def test_combine_witness_bezout_pair():
