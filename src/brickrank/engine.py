@@ -48,6 +48,7 @@ T's row is live; a proto that divides T answers before any codec.
 from __future__ import annotations
 
 from array import array
+import copy
 from dataclasses import dataclass
 import functools
 import math
@@ -374,23 +375,29 @@ class _BrickCodec:
 
     def __init__(self, bricks):
         self.dim = _check_same_shape(bricks)
-        self.stride, self._encode, decode, probe = lattice_of(
+        self.stride, self.encode_side, decode, probe = lattice_of(
             bricks[0]).side_codec([s for b in bricks for s in b.sides])
-        self._decode = functools.cache(decode)
+        self.decode_side = functools.cache(decode)
         self.probe = functools.cache(probe)
         # as arrays: a table over 20 letters has half a million set bits
         self.bits = functools.cache(lambda code: array("I", _bits(code)))
         self.ones = (1 << self.stride) - 1
 
     def rows(self, bricks) -> list[int]:
-        return [sum(self._encode(s) << i * self.stride
+        return [sum(self.encode_side(s) << i * self.stride
                     for i, s in enumerate(b.sides)) for b in bricks]
 
     def sides(self, row: int) -> list[int]:
         return [row >> i * self.stride & self.ones for i in range(self.dim)]
 
     def decode(self, row: int) -> Brick:
-        return Brick(tuple(map(self._decode, self.sides(row))))
+        return Brick(tuple(map(self.decode_side, self.sides(row))))
+
+    def widened(self, dim: int) -> "_BrickCodec":
+        """The same side codec, caches and all, for rows of dim sides."""
+        wide = copy.copy(self)
+        wide.dim = dim
+        return wide
 
     def side_mask(self, delta: int) -> int:
         """A row with every bit of side delta set."""

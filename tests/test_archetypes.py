@@ -4,9 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from brickrank import archetypes, dedekind
 from brickrank.archetypes import (
     Archetype,
     FactViolation,
+    SymBrick,
     archetype_of,
     arch_count_table,
     certificate,
@@ -14,6 +16,7 @@ from brickrank.archetypes import (
     check_fact_F4,
     is_balanced,
     lattice_maxrank,
+    next_minimal_level,
     placement_count,
     rank_polynomial,
     render_archetype,
@@ -24,8 +27,8 @@ from brickrank.archetypes import (
     symbrick_from_rep,
     true_dim,
 )
-from brickrank.dedekind import parse_phrase
-from brickrank.engine import GuardExceeded
+from brickrank.dedekind import Phrase, parse_phrase, phrase_key
+from brickrank.engine import GuardExceeded, ext_dir
 
 LEVEL_SIZES = {
     1: [1, 1],
@@ -97,6 +100,78 @@ def test_certificate_level_sizes():
         assert cert.max_true_dim == n - 1
 
 
+# the construction on Phrases, side by side: extend by the envelope, close
+# with ext_dir, trim, check balance, sort by prefix length, then prefix
+# and envelope by phrase_key
+
+
+def _oracle_key(b):
+    return (len(b.prefix), tuple(map(phrase_key, b.prefix)),
+            phrase_key(b.envelope))
+
+
+def _oracle_next(prev, d):
+    out = []
+    for rep in ext_dir(d, [rep_at_level(b, d) for b in prev], prune=True):
+        b = symbrick_from_rep(rep)
+        assert is_balanced(b)
+        out.append(b)
+    return tuple(sorted(out, key=_oracle_key))
+
+
+def _cubes(n):
+    return tuple(SymBrick((), Phrase(((i,),))) for i in range(1, n + 1))
+
+
+def _oracle_levels(n):
+    levels = [_cubes(n)]
+    # stop after the first level d > 1 with no brick of true dimension d - 1
+    while len(levels) < 2 or max(map(true_dim, levels[-1])) == len(levels) - 1:
+        levels.append(_oracle_next(levels[-1], len(levels)))
+    return tuple(levels)
+
+
+def _level_texts(path):
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    return [doc["bricks"] for doc in docs if not doc.get("complete")]
+
+
+def test_certificate_levels_match_the_phrase_construction(tmp_path):
+    for n in (1, 2, 3, 4):
+        path = tmp_path / f"n{n}.jsonl"
+        oracle = _oracle_levels(n)
+        assert certificate(n, checkpoint=str(path)).levels == oracle
+        assert _level_texts(path) == [[render_symbrick(b, d) for b in level]
+                                      for d, level in enumerate(oracle)]
+
+
+def test_n5_levels_match_the_phrase_construction():
+    # letters w1..w5 render numbered; level 2 holds all 7579 phrases
+    oracle = [_cubes(5)]
+    level = archetypes._Run(5).pack(0, oracle[0])
+    for d in (1, 2):
+        oracle.append(_oracle_next(oracle[-1], d))
+        level = next_minimal_level(level, d)
+        assert level.symbricks() == oracle[d]
+        assert level.texts() == [render_symbrick(b, d, 5) for b in oracle[d]]
+    assert len(oracle[2]) == 7579
+
+
+def test_certificate_decodes_and_encodes_each_side_once(tmp_path, monkeypatch):
+    calls = {"phrase_tt": 0, "phrase_from_tt": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(dedekind, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(dedekind, name, counted)
+    cert = certificate(4, checkpoint=str(tmp_path / "n4.jsonl"))
+    sides = {s for level in cert.levels for b in level
+             for s in b.prefix + (b.envelope,)}
+    assert len(sides) == 166
+    assert 0 < calls["phrase_tt"] <= len(sides)
+    assert 0 < calls["phrase_from_tt"] <= len(sides)
+
+
 def test_certificate_guard():
     with pytest.raises(GuardExceeded):
         certificate(5)
@@ -138,6 +213,22 @@ def test_certificate_resumes_after_a_cut_write(tmp_path):
     assert cut.read_text() == text
     for line in cut.read_text().splitlines():
         json.loads(line)
+
+
+def test_certificate_resumes_alike_from_every_cut(tmp_path):
+    full = tmp_path / "full.jsonl"
+    cert = certificate(4, checkpoint=str(full))
+    text = full.read_text()
+    lines = text.splitlines(keepends=True)
+    cuts = ["".join(lines[:k]) for k in range(len(lines) + 1)]
+    cuts.append("".join(lines[:3]) + lines[3][:3000])
+    for i, head in enumerate(cuts):
+        path = tmp_path / f"cut{i}.jsonl"
+        path.write_text(head)
+        resumed = certificate(4, checkpoint=str(path))
+        assert (resumed.levels, resumed.archetypes) == (cert.levels,
+                                                        cert.archetypes), i
+        assert path.read_text() == text, i
 
 
 def test_certificate_resume_of_finished_file_keeps_one_summary(tmp_path):

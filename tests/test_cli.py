@@ -458,6 +458,29 @@ def test_certificate_resume_with_bad_inner_line_exits_2(capsys, tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("bricks", [
+    ["(w)", "(w)x(x)x(y)"],  # three sides at level 1
+    5,
+    ["(w)", "3x4"],
+    ["(w)", "(wz)"],  # z is letter 4, beyond n = 3
+    ["(w)", "(w)x(q)"],
+    [],
+], ids=["three-sides", "not-a-list", "numeric", "letter-beyond-n",
+        "bad-letter", "empty"])
+def test_certificate_resume_of_a_bad_level_exits_2(capsys, tmp_path, bricks):
+    path = tmp_path / "n3.jsonl"
+    assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
+    lines = path.read_text().splitlines(keepends=True)[:2]
+    doc = json.loads(lines[1])
+    doc["bricks"] = bricks
+    path.write_text(lines[0] + json.dumps(doc) + "\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert path.read_bytes() == before
+
+
 def test_certificate_resume_of_a_directory_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "certificate", "2", "--resume", str(tmp_path))
     assert (code, out) == (2, "")
