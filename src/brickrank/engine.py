@@ -13,10 +13,13 @@ exactly when some minimal brick divides T.
 One codec packs bricks for every bit-level step.  Each lattice codes a
 side as a Python int in which meet is AND, join is OR and order is bit
 subset: phrases by their truth tables over the letters in use (at most
-20, renumbered in increasing order), naturals by the rank of each
-prime's exponent among those the prime takes in the inputs.
+20, renumbered in increasing order), naturals by which tests "p^e
+divides v" they pass, one bit per set of inputs that such a test tells
+apart from the rest.  A natural code is exact only on the sublattice
+the codec's values generate, and every caller encodes only those values.
 _BrickCodec puts a brick's side codes at a fixed bit stride in one int
-row and decodes each distinct side code once.
+row and decodes each distinct side code once; rank counts the closure's
+rows and decodes none.
 
 One closure engine computes the fixpoint.  It encodes each brick once
 and runs every direction on the rows.  In a fixed direction cix is
@@ -41,8 +44,9 @@ direction and Cl(psi_T P) = psi_T(Cl P).  A brick c divides T exactly
 when psi_T(c) = T, so T is tilable exactly when T lies in Cl(psi_T P),
 whose least element T then is.  decide closes the lifted protos one
 direction at a time under a codec built over T and them (a lifted
-exponent never drops below T's, so rank codes shrink) and stops once
-T's row is live; a proto that divides T answers before any codec.
+exponent never drops below T's, so fewer tests tell them apart) and
+stops once T's row is live; a proto that divides T answers before any
+codec.
 """
 
 from __future__ import annotations
@@ -131,49 +135,70 @@ class _NatLattice:
 
     @staticmethod
     def side_codec(values):
-        """Rank codes: each prime gets a field, and its exponent in a value
-        is coded as r low ones, r the exponent's rank among those the
-        prime takes in values (0 counts where a value lacks the prime).
-        min and max never leave that set, so gcd and lcm are AND and OR.
-        A field's code is its low r bits, so it is spanned by its last one
-        and its first zero."""
-        values = set(values)
-        seen: dict[int, list[int]] = {}
-        for v in values:
+        """Test codes: one bit per set of values that pass a test "p^e
+        divides v" when some but not all of them do, shared by every test
+        that exactly those values pass (Birkhoff: 2^n - 2 bits for n
+        values in general position).  A lattice term u in the values
+        passes such a test as the same monotone Boolean function of which
+        values pass it, whatever p^e is, so on the sublattice the values
+        generate the code is exact: gcd is AND, lcm is OR, divisibility
+        is bit subset.  Every caller encodes only those values.  A
+        prime's tests are nested, so u's exponent of p has the rank, among
+        those p takes in values (0 where a value lacks p), of the count of
+        p's test bits u has.  Test a implies test b when a's values are a
+        subset of b's, so a code is spanned by its least ones and its
+        greatest zeros in that order."""
+        values = list(set(values))
+        every = (1 << len(values)) - 1
+        # p -> e -> the values in which p has exponent e
+        by_exp: dict[int, dict[int, int]] = {}
+        for i, v in enumerate(values):
             for p, e in v.factors:
-                seen.setdefault(p, []).append(e)
-        fields, nbits = {}, 0  # prime -> (offset, exponents, their ranks)
-        for p in sorted(seen):
-            absent = {0} if len(seen[p]) < len(values) else set()
-            exps = sorted(set(seen[p]) | absent)
-            fields[p] = nbits, exps, {e: r for r, e in enumerate(exps)}
-            nbits += len(exps) - 1
+                masks = by_exp.setdefault(p, {})
+                masks[e] = masks.get(e, 0) | 1 << i
+        bit = {}  # set of values -> its bit
+        enc = {}  # (p, e) -> the bits of the tests that p^e passes
+        primes = []  # (p, the bits of p's tests, p's exponents in values)
+        for p in sorted(by_exp):
+            masks = by_exp[p]
+            # the values that p^e does not divide, for each e in turn
+            below = every - sum(masks.values())
+            exps, code = [0] if below else [], 0
+            for e in sorted(masks):
+                if below:
+                    code |= 1 << bit.setdefault(every - below, len(bit))
+                enc[p, e] = code
+                exps.append(e)
+                below |= masks[e]
+            primes.append((p, code, exps))
+        sets = list(bit)
+        lower, upper = [0] * len(sets), [0] * len(sets)
+        for j, s in enumerate(sets):
+            for k, t in enumerate(sets[:j]):
+                if (u := s | t) == s:  # t within s
+                    lower[j] |= 1 << k
+                    upper[k] |= 1 << j
+                elif u == t:
+                    lower[k] |= 1 << j
+                    upper[j] |= 1 << k
+        full = (1 << len(sets)) - 1
 
         def encode(v):
             code = 0
-            for p, e in v.factors:
-                at, _, rank = fields[p]
-                code |= ((1 << rank[e]) - 1) << at
+            for f in v.factors:
+                code |= enc[f]
             return code
 
         def decode(code):
-            pairs = []
-            for p, (at, exps, _) in fields.items():
-                e = exps[(code >> at & (1 << len(exps) - 1) - 1).bit_count()]
-                if e:
-                    pairs.append((p, e))
-            return FactoredNat(tuple(pairs))
-
-        # the fields tile bits 0..nbits - 1, so each one's last bit is
-        # the bit below the next one's first, or the top bit
-        firsts = sum(1 << at for at, exps, _ in fields.values() if exps[1:])
-        lasts = firsts >> 1 | 1 << nbits >> 1
+            return FactoredNat(tuple(
+                (p, e) for p, mask, exps in primes
+                if (e := exps[(code & mask).bit_count()])))
 
         def probe(code):
-            return (_bits(code & ~(code >> 1 & ~lasts)),
-                    _bits(~code & (code << 1 | firsts) & (1 << nbits) - 1))
+            return ([j for j in _bits(code) if not lower[j] & code],
+                    [j for j in _bits(~code & full) if not upper[j] & ~code])
 
-        return nbits, encode, decode, probe
+        return len(sets), encode, decode, probe
 
 
 class _NatOrder:
@@ -364,6 +389,9 @@ class _BrickCodec:
     """Bricks of one shape as int rows.  Side i of a brick holds bits
     [i * stride, (i + 1) * stride) of its row: the side's code under its
     lattice's side_codec, built from every side of the bricks given.
+    Natural codes are exact only on the sublattice those sides generate,
+    which holds every combine of the bricks, so callers encode no other
+    natural; phrase codes are exact on every phrase over the letters.
     Meet, join and divisibility act side by side, so on rows cix is AND
     on the delta field and OR elsewhere, and divisibility is bit subset.
     Each distinct side code is decoded, probed and split into bits once.
@@ -523,12 +551,13 @@ def _close(delta, rows, codec, prune, derived, inputs):
     return live.live() if prune else live
 
 
-def _closure(bricks, deltas, prune, trace, progress=None):
+def _closed(bricks, deltas, prune, trace, progress=None):
     """Close bricks in each direction of deltas in turn, on packed rows
     under one codec: the side codes of the inputs are closed under AND
     and OR, so a codec built from the inputs encodes every combine.  Trace
     entries go in the order the rows were made, keeping any derivation
-    already there, and never name an input of this or an earlier pass."""
+    already there, and never name an input of this or an earlier pass.
+    Returns the codec and the live rows."""
     start = sorted(set(bricks), key=brick_sort_key)
     codec = _BrickCodec(start)
     rows = codec.rows(start)
@@ -540,11 +569,17 @@ def _closure(bricks, deltas, prune, trace, progress=None):
             inputs.update(rows)
         if progress is not None:
             progress(f"direction {delta}/{codec.dim}: {len(rows)} bricks")
-    decode = codec.decode
     if trace is not None:
+        decode = codec.decode
         for delta, c, a, b in derived:
             trace.setdefault(decode(c), (delta, decode(a), decode(b)))
-    return sorted(map(decode, rows), key=brick_sort_key)
+    return codec, rows
+
+
+def _closure(bricks, deltas, prune, trace, progress=None):
+    """The bricks of _closed, in canonical order."""
+    codec, rows = _closed(bricks, deltas, prune, trace, progress)
+    return sorted(map(codec.decode, rows), key=brick_sort_key)
 
 
 def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
@@ -633,9 +668,14 @@ def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
     return BrickAntichain(tuple(closed))
 
 
-def rank(bricks) -> int:
-    """|M(P)|: the number of minimal tilable bricks of the proto-set."""
-    return len(minimal_set(bricks))
+def rank(bricks, progress=None) -> int:
+    """|M(P)|: the number of minimal tilable bricks of the proto-set,
+    counted on the pruned closure's rows without decoding any."""
+    bl = list(bricks)
+    if not bl:
+        raise ValueError("rank of an empty proto-set")
+    d = _check_same_shape(bl)
+    return len(_closed(bl, range(1, d + 1), True, None, progress)[1])
 
 
 def is_tilable(target: Brick, minimal: BrickAntichain) -> bool:

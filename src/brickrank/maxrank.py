@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations
 import json
 
-from .engine import Brick, GuardExceeded, minimal_set
+from .engine import Brick, GuardExceeded, rank
 from .numlat import FactoredNat, first_primes
 
 __all__ = [
@@ -71,8 +71,7 @@ def geometric_maxrank(n: int, d: int, allow_big: bool = False,
     """max over proto-sets of n bricks in dimension d of rank, computed
     directly as the rank of the worst-case cubes."""
     _check_guard(n, d, allow_big)
-    return len(minimal_set(worst_protoset(n, d, allow_big=allow_big),
-                           progress=progress))
+    return rank(worst_protoset(n, d, allow_big=allow_big), progress=progress)
 
 
 def maxrank_table(n_max: int, d_max: int, allow_big: bool = False,

@@ -133,9 +133,11 @@ def test_maxrank_table():
 
 
 @pytest.mark.skipif(not RUN_SLOW, reason="set BRICKRANK_RUN_SLOW=1 to include")
-@criterion("2 (slow)", "maxrank(5, 2) = 7579")
+@criterion("2 (slow)", "maxrank(5, 2) = 7579 and maxrank(5, 3) = 40517")
 def test_maxrank_n5_opt_in():
     assert geometric_maxrank(5, 2, allow_big=True) == 7579
+    # the geometric table meets the lattice table at n = 5, d = 3
+    assert geometric_maxrank(5, 3, allow_big=True) == 40517
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from brickrank.engine import (
     render_brick,
 )
 from brickrank.engine import _BrickCodec, _Slices, _close
+from brickrank.maxrank import geometric_maxrank, worst_protoset
 from brickrank.numlat import FactoredNat, lcm_nat, nat
 
 FIG1 = [brick(25, 3), brick(9, 8), brick(16, 5)]
@@ -430,6 +431,9 @@ def _codec_cases():
         yield _random_factored_bricks(rng, 12, d)
     for letters in range(1, 6):
         yield _random_phrase_bricks(rng, 12, rng.randint(1, 4), letters)
+    yield worst_protoset(3, 3)
+    yield worst_protoset(4, 2)
+    yield [brick(6, 1), brick(1, 6), brick(2, 3)]
 
 
 @pytest.mark.parametrize("bricks", list(_codec_cases()))
@@ -455,6 +459,20 @@ def test_codec_width_counts_exponents_not_their_size():
     bricks = [brick("2^1000000", 1), brick(3, 1)]
     assert _BrickCodec(bricks).stride == 2
     assert minimal_set(bricks).bricks == (brick(1, 1),)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_codec_width_of_worst_cubes_is_birkhoff(n):
+    # 2^n - 2 nontrivial value sets, against n! * (n - 1) exponent ranks
+    assert _BrickCodec(worst_protoset(n, 2)).stride == [0, 2, 6, 14, 30][n - 1]
+
+
+def test_codec_merges_tests_the_same_values_pass():
+    # 2 and 3 always come together, so 2 | v and 3 | v share one bit
+    bricks = [brick(6, 1), brick(1, 6)]
+    codec = _BrickCodec(bricks)
+    assert codec.stride == 1
+    assert [codec.decode(r) for r in codec.rows(bricks)] == bricks
 
 
 def _pairwise_close(delta, rows, mask, prune, inputs):
@@ -589,6 +607,39 @@ def test_minimal_set_rotation_example():
     M = minimal_set(ROTATION)
     assert [render_brick(b) for b in M.bricks] == ROTATION_MINIMAL
     assert rank(ROTATION) == 15
+
+
+def _rank_cases():
+    rng = random.Random(73)
+    for n in range(1, 5):
+        yield worst_protoset(n, 2)
+    yield worst_protoset(3, 3)
+    for d in range(1, 4):
+        yield _random_bricks(rng, rng.randint(1, 5), d, 30)
+        yield _random_factored_bricks(rng, 5, d)
+        yield _random_phrase_bricks(rng, 4, d, 4)
+
+
+@pytest.mark.parametrize("bricks", list(_rank_cases()))
+def test_rank_counts_the_minimal_set(bricks):
+    assert rank(bricks) == len(minimal_set(bricks))
+
+
+def test_rank_refuses_empty_and_mixed_sets():
+    with pytest.raises(ValueError):
+        rank([])
+    with pytest.raises(DimensionMismatch):
+        rank([brick(2, 3), brick(2, 3, 5)])
+    with pytest.raises(DimensionMismatch):
+        rank([brick(2, 3), brick("(w)", "(x)")])
+
+
+def test_geometric_maxrank_decodes_no_brick(monkeypatch):
+    def refuse(self, row):
+        raise AssertionError("decoded a row")
+
+    monkeypatch.setattr(_BrickCodec, "decode", refuse)
+    assert geometric_maxrank(4, 3) == 578
 
 
 def test_minimal_set_singleton():
