@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, filterfalse, islice
 import re
 
 from .numlat import FactoredNat, GuardExceeded, gcd_nat, lcm_nat
@@ -199,7 +199,11 @@ def parse_phrase(text: str) -> Phrase:
 # only.  Shifting the part of a table where letter i is false left by
 # 2^(i-1) moves each value to the assignment that adds i; a table is
 # monotone exactly when every shifted table lies within it, and its words
-# are the true assignments that no shifted table covers.
+# are the true assignments that no shifted table covers.  The low half of
+# a table over letters 1..k+1 is the part where letter k+1 is false: a
+# table is monotone exactly when both halves are monotone tables over
+# letters 1..k and the low half lies within the high one (Dedekind's
+# halving, which lattice_tables runs up from no letters).
 
 
 def phrase_tt(a: Phrase, n: int) -> int:
@@ -270,27 +274,34 @@ def phrase_from_tt(tt: int, n: int) -> Phrase:
 
 
 def lattice_tables(n: int) -> set[int]:
-    """The truth tables of all phrases on letters 1..n: the join closure
-    of the word tables on plain ints, with no phrase built.
-    Guard: 1 <= n <= 6 (n = 6 has 7.8M phrases and needs several GB;
-    sizes follow the Dedekind sequence)."""
+    """The truth tables of all phrases on letters 1..n, with no phrase
+    built, by Dedekind's halving: the tables on k+1 letters are
+    f0 | f1 << 2^k for every pair of tables f0 within f1 on k letters,
+    from the constants 0 and 1 on no letters, dropped at the end.
+    Guard: 1 <= n <= 6 (n = 6: 7,828,352 tables in about 10 s at 630 MB
+    peak RSS on a 2-core machine)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > 6:
         raise GuardExceeded(f"lattice enumeration supports n <= 6, got {n}")
-    words = [phrase_tt(Phrase((c,)), n) for k in range(1, n + 1)
-             for c in combinations(range(1, n + 1), k)]
-    seen = set(words)
-    frontier = seen
-    while frontier:
-        frontier = {t | w for t in frontier for w in words} - seen
-        seen |= frontier
-    return seen
+    tables = [0, 1]
+    for k in range(n):
+        # the tables ascend, so every f0 within f1 comes at or before f1,
+        # and f1 as the high half keeps the new tables ascending
+        pairs = (map((f1 << (1 << k)).__or__,
+                     filterfalse((~f1).__and__, islice(tables, i + 1)))
+                 for i, f1 in enumerate(tables))
+        tables = (set if k == n - 1 else list)(chain.from_iterable(pairs))
+    tables -= {0, (1 << (1 << n)) - 1}
+    return tables
 
 
 def enumerate_lattice(n: int) -> set[Phrase]:
-    """All phrases on letters 1..n: the closure of the generators under
-    join and meet, decoded from lattice_tables."""
+    """All phrases on letters 1..n, decoded from lattice_tables.
+    Guard: n <= 5, before any table is built (n = 6 would decode 7.8M
+    phrases, several GB)."""
+    if n > 5:
+        raise GuardExceeded(f"phrase enumeration supports n <= 5, got {n}")
     return {phrase_from_tt(t, n) for t in lattice_tables(n)}
 
 

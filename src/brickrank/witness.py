@@ -31,6 +31,7 @@ O(placements * 2^d), whatever the size of the boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 import json
 import math
@@ -294,16 +295,28 @@ def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
 # JSON form: placements ordered by proto index then offset
 
 
+@lru_cache(maxsize=None)
+def _placement_template(d: int) -> str:
+    """One placement of d offsets as json.dumps(..., indent=2) lays it
+    out inside the placements list, with %d for each number."""
+    offset = "[\n" + ",\n".join(["        %d"] * d) + "\n      ]" if d else "[]"
+    return ('    {\n      "proto": %d,\n      "offset": ' + offset
+            + ',\n      "coeff": %d\n    }')
+
+
 def witness_to_json(w: TilingWitness) -> str:
-    doc = {
-        "target": render_brick(w.target),
-        "protos": [render_brick(b) for b in w.protos],
-        "placements": [
-            {"proto": p.proto, "offset": list(p.offset), "coeff": p.coeff}
-            for p in sorted(w.placements, key=lambda p: (p.proto, p.offset))
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The text json.dumps(doc, indent=2) writes.  With an indent json
+    runs its pure-Python encoder, so only the head goes through it and
+    each placement is filled into a template of the same layout."""
+    head = json.dumps({"target": render_brick(w.target),
+                       "protos": [render_brick(b) for b in w.protos],
+                       "placements": []}, indent=2)
+    if not w.placements:
+        return head + "\n"
+    rows = ",\n".join(
+        _placement_template(len(p.offset)) % (p.proto, *p.offset, p.coeff)
+        for p in sorted(w.placements, key=lambda p: (p.proto, p.offset)))
+    return head[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
 def witness_from_json(text: str) -> TilingWitness:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import brickrank.cli as cli
+import brickrank.dedekind
 import brickrank.engine
 import brickrank.witness
 from brickrank.archetypes import FactViolation
@@ -408,6 +409,17 @@ def test_dedekind_dual_parse_error(capsys):
 def test_dedekind_guard(capsys):
     code, _, err = run(capsys, "dedekind", "7")
     assert code == 3
+
+
+def test_dedekind_enumerate_guard(capsys, monkeypatch):
+    """n = 6 is counted, but listing it would decode 7.8M phrases."""
+    def refuse(*args):
+        raise AssertionError("phrase decoded")
+
+    monkeypatch.setattr(brickrank.dedekind, "phrase_from_tt", refuse)
+    code, out, err = run(capsys, "dedekind", "6", "--enumerate")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:") and "n <= 5" in err
 
 
 def test_certificate_text_and_files(capsys, tmp_path):

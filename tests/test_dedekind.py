@@ -1,8 +1,14 @@
+import json
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import brickrank.dedekind
 from brickrank.dedekind import (
     Phrase,
     PhraseParseError,
@@ -25,7 +31,10 @@ from brickrank.dedekind import (
     reduce_words,
     render_phrase,
 )
-from brickrank.numlat import nat
+from brickrank.numlat import GuardExceeded, nat
+
+RUN_SLOW = os.environ.get("BRICKRANK_RUN_SLOW", "").lower() in {
+    "1", "true", "yes"}
 
 
 def _oracle_from_tt(tt, n):
@@ -233,6 +242,42 @@ def test_lattice_tables_count_the_lattice():
         assert len(lattice_tables(n)) == len(lattice)
     for n in range(1, 5):
         assert len(lattice_tables(n)) == monotone_count_oracle(n)
+
+
+def test_lattice_tables_follow_the_dedekind_sequence():
+    # D(n) - 2: the two constants are not phrases
+    assert [len(lattice_tables(n)) for n in range(1, 6)] == [1, 4, 18, 166, 7579]
+
+
+def test_enumerate_guard_fires_before_any_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(brickrank.dedekind, "lattice_tables", refuse)
+    with pytest.raises(GuardExceeded):
+        enumerate_lattice(6)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set BRICKRANK_RUN_SLOW=1 to include")
+def test_dedekind_count_n6_opt_in():
+    """dedekind 6 --count in a child process, which reports its seconds
+    and peak RSS."""
+    src = str(Path(brickrank.dedekind.__file__).resolve().parents[1])
+    child = ("import contextlib, io, json, resource, sys, time\n"
+             f"sys.path.insert(0, {src!r})\n"
+             "import brickrank.cli\n"
+             "out = io.StringIO()\n"
+             "start = time.perf_counter()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             "    code = brickrank.cli.main(['dedekind', '6', '--count'])\n"
+             "print(json.dumps([code, out.getvalue(), time.perf_counter() - start,\n"
+             "    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))\n")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    code, out, seconds, rss_mb = json.loads(done.stdout)
+    print(f"dedekind 6 --count: {seconds:.1f} s, {rss_mb:.0f} MB peak RSS")
+    assert (code, out) == (0, "7828352\n")
 
 
 def test_lattice_closed_under_ops():

@@ -380,6 +380,35 @@ def test_json_schema_and_ordering():
     assert keys == sorted(keys)
 
 
+def _indented_dumps(w: TilingWitness) -> str:
+    doc = {
+        "target": render_brick(w.target),
+        "protos": [render_brick(b) for b in w.protos],
+        "placements": [
+            {"proto": p.proto, "offset": list(p.offset), "coeff": p.coeff}
+            for p in sorted(w.placements, key=lambda p: (p.proto, p.offset))
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_layout_matches_indented_dumps():
+    """The placements are written from a template; the text must be the
+    one json.dumps(doc, indent=2) writes."""
+    fig2 = _hand_fig2_witness()
+    cases = [tile_witness(FIG1, brick(34 * k, 11 * k)) for k in (1, 2, 3, 5)]
+    cases += [tile_witness(FIG2, brick(3, 1)),
+              TilingWitness(fig2.target, fig2.protos, fig2.placements[::-1]),
+              TilingWitness(brick(2, 3), (brick(2, 3),), ())]
+    rng = random.Random(5150)
+    for d in range(1, 5):
+        cases += _random_witnesses(rng, d)
+    assert any(p.coeff < 0 for w in cases for p in w.placements)
+    assert {len(w.target.sides) for w in cases} == {1, 2, 3, 4}
+    for w in cases:
+        assert witness_to_json(w) == _indented_dumps(w)
+
+
 def test_json_rejects_malformed():
     with pytest.raises((KeyError, ValueError)):
         witness_from_json("{}")
