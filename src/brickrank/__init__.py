@@ -27,7 +27,6 @@ from .dedekind import (
     join,
     leq,
     meet,
-    monotone_count_oracle,
     parse_phrase,
     phrase,
     render_phrase,

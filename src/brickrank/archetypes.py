@@ -78,8 +78,6 @@ __all__ = [
     "rank_polynomial",
     "render_polynomial",
     "check_fact_F4",
-    "check_d2_bijection",
-    "arch_count_table",
 ]
 
 
@@ -329,9 +327,6 @@ class Certificate:
     levels: tuple[tuple[SymBrick, ...], ...]  # index = dimension
     max_true_dim: int
     archetypes: tuple["Archetype", ...]
-
-    def level_set(self, d: int) -> frozenset[SymBrick]:
-        return frozenset(self.levels[d])
 
 
 _CERT_CACHE: dict[int, Certificate] = {}
@@ -601,7 +596,7 @@ def render_polynomial(coeffs) -> str:
 # structural checks
 
 
-def check_fact_F4(n: int, allow_big: bool = False) -> bool:
+def check_fact_F4(n: int) -> bool:
     """The nested brick (..((w1 cix_1 w2) cix_2 w3) ..) cix_(n-1) wn is
     minimal with true dimension n - 1."""
     cur = SymBrick((), _pure_sum([1]))
@@ -612,27 +607,4 @@ def check_fact_F4(n: int, allow_big: bool = False) -> bool:
         cur = symbrick_from_rep(cix(lvl, a, b))
     if true_dim(cur) != n - 1:
         return False
-    cert = certificate(n, allow_big=allow_big)
-    return cur in cert.level_set(len(cert.levels) - 1)
-
-
-def check_d2_bijection(n: int, allow_big: bool = False) -> bool:
-    """alpha -> alpha x dual(alpha) maps the whole phrase lattice onto
-    the minimal bricks at level 2, one to one."""
-    cert = certificate(n, allow_big=allow_big)
-    lattice = dedekind.enumerate_lattice(n)
-    image = {
-        symbrick((alpha, dedekind.dual(alpha))) for alpha in lattice
-    }
-    level = min(2, len(cert.levels) - 1)  # n = 1 stops below level 2
-    return len(image) == len(lattice) and image == cert.level_set(level)
-
-
-def arch_count_table(n: int, allow_big: bool = False) -> list[int]:
-    """Archetype counts by true dimension 0..n-1."""
-    cert = certificate(n, allow_big=allow_big)
-    out = [0] * n
-    for a in cert.archetypes:
-        out[a.tau] += 1
-    return out
-
+    return cur in certificate(n).levels[-1]

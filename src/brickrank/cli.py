@@ -9,7 +9,6 @@ checkpoint, 3 refused by a size guard, 4 internal consistency failure.
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .archetypes import (
@@ -52,13 +51,6 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _allow_big(args) -> bool:
-    if getattr(args, "allow_big", False):
-        return True
-    env = os.environ.get("BRICKRANK_GUARD_OVERRIDE", "")
-    return env.strip().lower() in {"1", "true", "yes", "on"}
-
-
 def _at_least(lo: int):
     """argparse type: an int no smaller than lo; anything else exits 2."""
 
@@ -94,7 +86,7 @@ def _read_bricks(inline, path):
 
 def cmd_minimal_set(args) -> int:
     protos = _read_bricks(args.bricks, args.input)
-    M = minimal_set(protos, prune=not args.no_prune)
+    M = minimal_set(protos)
     if args.format == "json":
         doc = {
             "minimal": [render_brick(b) for b in M.bricks],
@@ -114,11 +106,10 @@ def cmd_tilable(args) -> int:
     if args.witness and any(lattice_of(b) is not NAT_LATTICE
                             for b in [target] + protos):
         raise BrickParseError("--witness needs numeric bricks")
-    prune = not args.no_prune
     if not args.witness:
-        ok = decide(target, protos, prune=prune)
+        ok = decide(target, protos)
     else:
-        ok = is_tilable(target, minimal_set(protos, prune=prune))
+        ok = is_tilable(target, minimal_set(protos))
         if ok:
             sys.stdout.write(witness_to_json(tile_witness(protos, target)))
             return 0
@@ -144,9 +135,8 @@ def _table_text(rows, d_max) -> str:
 
 
 def cmd_maxrank(args) -> int:
-    allow = _allow_big(args)
     if args.table:
-        rows = maxrank_table(args.n_max, args.d_max, allow_big=allow,
+        rows = maxrank_table(args.n_max, args.d_max, allow_big=args.allow_big,
                              progress=_progress)
         if args.format == "csv":
             sys.stdout.write(table_to_csv(rows, args.d_max))
@@ -157,7 +147,7 @@ def cmd_maxrank(args) -> int:
         return 0
     if args.n is None or args.d is None:
         raise BrickParseError("maxrank needs N and D, or --table")
-    value = geometric_maxrank(args.n, args.d, allow_big=allow,
+    value = geometric_maxrank(args.n, args.d, allow_big=args.allow_big,
                               progress=_progress)
     if args.format == "json":
         print(json.dumps({"n": args.n, "d": args.d, "maxrank": value}))
@@ -202,7 +192,7 @@ def cmd_dedekind(args) -> int:
 
 def cmd_certificate(args) -> int:
     path = args.checkpoint or f"certificate_n{args.n}.jsonl"
-    cert = certificate(args.n, allow_big=_allow_big(args), checkpoint=path,
+    cert = certificate(args.n, allow_big=args.allow_big, checkpoint=path,
                        progress=_progress)
     coeffs = rank_polynomial(args.n, allow_big=True)
     doc = {
@@ -228,7 +218,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    coeffs = rank_polynomial(args.n, allow_big=_allow_big(args))
+    coeffs = rank_polynomial(args.n, allow_big=args.allow_big)
     text = render_polynomial(coeffs)
     values = []
     for d in range(0, args.d_max + 1):
@@ -269,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimal tilable bricks and rank of a proto-set")
     p.add_argument("bricks", nargs="*", help="bricks like 25x3 or (w)x(x+y)")
     p.add_argument("--input", help="file with a JSON list or one brick per line")
-    p.add_argument("--no-prune", action="store_true",
-                   help="keep non-minimal bricks during closure")
     _add_format(p)
     p.set_defaults(main=cmd_minimal_set)
 
@@ -280,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="file with a JSON list or one brick per line")
     p.add_argument("--witness", action="store_true",
                    help="emit an explicit tiling as JSON")
-    p.add_argument("--no-prune", action="store_true")
     _add_format(p)
     p.set_defaults(main=cmd_tilable)
 

@@ -38,7 +38,6 @@ __all__ = [
     "parse_phrase",
     "enumerate_lattice",
     "lattice_tables",
-    "monotone_count_oracle",
     "eval_hom",
     "phrase_tt",
     "phrase_from_tt",
@@ -303,28 +302,6 @@ def enumerate_lattice(n: int) -> set[Phrase]:
     if n > 5:
         raise GuardExceeded(f"phrase enumeration supports n <= 5, got {n}")
     return {phrase_from_tt(t, n) for t in lattice_tables(n)}
-
-
-def monotone_count_oracle(n: int) -> int:
-    """Count phrases on n letters by brute force over all 2**(2**n)
-    truth tables, testing monotonicity directly.  Guard: n <= 4."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > 4:
-        raise GuardExceeded(f"monotone_count_oracle supports n <= 4, got {n}")
-    size = 1 << n
-    succ = [[v | (1 << i) for i in range(n) if not v >> i & 1] for v in range(size)]
-    total = 0
-    for tt in range(1 << size):
-        ok = True
-        for v in range(size):
-            if tt >> v & 1:
-                if any(not tt >> u & 1 for u in succ[v]):
-                    ok = False
-                    break
-        if ok:
-            total += 1
-    return total - 2  # the two constants are not phrases
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,20 @@ came from, so a derivation trace (needed to rebuild explicit tilings)
 comes from the same run.  Mid-closure pruning (dropping any brick
 another brick divides) is on by default and does not change the
 minimal set, because combines are monotone in each argument; pass
-prune=False to cross-check.  minimal_elements and
-BrickAntichain.validate run the same sliced test on rows of the same
-codec.
+prune=False to minimal_set, ext_dir or ext_all to cross-check.
+minimal_elements and BrickAntichain.validate run the same sliced test
+on rows of the same codec.
 
 One tilability decision needs less than M(P).  Joining with a fixed
 element of a distributive lattice is a lattice homomorphism, so
 psi_T(b) = (b_1 v T_1, ..., b_d v T_d) commutes with cix in every
 direction and Cl(psi_T P) = psi_T(Cl P).  A brick c divides T exactly
 when psi_T(c) = T, so T is tilable exactly when T lies in Cl(psi_T P),
-whose least element T then is.  decide closes the lifted protos one
-direction at a time under a codec built over T and them (a lifted
-exponent never drops below T's, so fewer tests tell them apart) and
-stops once T's row is live; a proto that divides T answers before any
-codec.
+whose least element T then is.  decide closes the lifted protos, always
+pruned, one direction at a time under a codec built over T and them (a
+lifted exponent never drops below T's, so fewer tests tell them apart)
+and stops once T's row is live; a proto that divides T answers before
+any codec.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class _NatLattice:
 
     @staticmethod
     def render_side(a):
-        return render_nat(a, style="auto")
+        return render_nat(a)
 
     @staticmethod
     def side_codec(values):
@@ -551,24 +551,31 @@ def _close(delta, rows, codec, prune, derived, inputs):
     return live.live() if prune else live
 
 
-def _closed(bricks, deltas, prune, trace, progress=None):
-    """Close bricks in each direction of deltas in turn, on packed rows
-    under one codec: the side codes of the inputs are closed under AND
-    and OR, so a codec built from the inputs encodes every combine.  Trace
-    entries go in the order the rows were made, keeping any derivation
-    already there, and never name an input of this or an earlier pass.
-    Returns the codec and the live rows."""
-    start = sorted(set(bricks), key=brick_sort_key)
+def _closed(bricks, delta, prune, trace, progress):
+    """Close a non-empty proto-set of one shape under cix in direction
+    delta, or in every direction in turn when delta is None, on packed
+    rows under one codec: the side codes of the inputs are closed under
+    AND and OR, so a codec built from the inputs encodes every combine.
+    Trace entries go in the order the rows were made, keeping any
+    derivation already there, and never name an input of this or an
+    earlier pass.  Returns the codec and the live rows."""
+    bl = list(bricks)
+    if not bl:
+        raise ValueError("closure of an empty proto-set")
+    d = _check_same_shape(bl)
+    if delta is not None and not 1 <= delta <= d:
+        raise ValueError(f"direction {delta} outside 1..{d}")
+    start = sorted(set(bl), key=brick_sort_key)
     codec = _BrickCodec(start)
     rows = codec.rows(start)
     derived = [] if trace is not None else None
     inputs = set(rows) if trace is not None else None
-    for delta in deltas:
+    for delta in range(1, d + 1) if delta is None else (delta,):
         rows = _close(delta, rows, codec, prune, derived, inputs)
         if trace is not None:
             inputs.update(rows)
         if progress is not None:
-            progress(f"direction {delta}/{codec.dim}: {len(rows)} bricks")
+            progress(f"direction {delta}/{d}: {len(rows)} bricks")
     if trace is not None:
         decode = codec.decode
         for delta, c, a, b in derived:
@@ -576,9 +583,9 @@ def _closed(bricks, deltas, prune, trace, progress=None):
     return codec, rows
 
 
-def _closure(bricks, deltas, prune, trace, progress=None):
+def _closure(bricks, delta, prune, trace):
     """The bricks of _closed, in canonical order."""
-    codec, rows = _closed(bricks, deltas, prune, trace, progress)
+    codec, rows = _closed(bricks, delta, prune, trace, None)
     return sorted(map(codec.decode, rows), key=brick_sort_key)
 
 
@@ -586,24 +593,13 @@ def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
     """Close a proto-set under cix in one direction: exactly the combines
     of its non-void subsets (minus pruned non-minimal ones when prune is
     on).  Returns bricks in canonical order."""
-    bl = list(bricks)
-    if not bl:
-        raise ValueError("ext_dir of an empty proto-set")
-    d = _check_same_shape(bl)
-    if not 1 <= delta <= d:
-        raise ValueError(f"direction {delta} outside 1..{d}")
-    return _closure(bl, (delta,), prune, trace)
+    return _closure(bricks, delta, prune, trace)
 
 
-def ext_all(bricks, prune: bool = True, trace: dict | None = None,
-            progress=None):
+def ext_all(bricks, prune: bool = True, trace: dict | None = None):
     """One closure pass per direction, in order.  The direction operators
     commute and are idempotent, so a single sweep reaches the fixpoint."""
-    bl = list(bricks)
-    if not bl:
-        raise ValueError("ext_all of an empty proto-set")
-    d = _check_same_shape(bl)
-    return _closure(bl, range(1, d + 1), prune, trace, progress)
+    return _closure(bricks, None, prune, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +651,12 @@ def minimal_elements(bricks) -> BrickAntichain:
         zip(bl, _divisors(bl))) if below == 1 << s))
 
 
-def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
-                progress=None) -> BrickAntichain:
+def minimal_set(bricks, prune: bool = True,
+                trace: dict | None = None) -> BrickAntichain:
     """The minimal tilable set M(P): divisibility-minimal elements of the
     full combine closure.  Finite, an antichain, and the complete
     tilability criterion for P."""
-    closed = ext_all(bricks, prune=prune, trace=trace, progress=progress)
+    closed = ext_all(bricks, prune=prune, trace=trace)
     if not prune:
         return minimal_elements(closed)
     # a pruned closure is already the antichain of its minimal elements,
@@ -671,11 +667,7 @@ def minimal_set(bricks, prune: bool = True, trace: dict | None = None,
 def rank(bricks, progress=None) -> int:
     """|M(P)|: the number of minimal tilable bricks of the proto-set,
     counted on the pruned closure's rows without decoding any."""
-    bl = list(bricks)
-    if not bl:
-        raise ValueError("rank of an empty proto-set")
-    d = _check_same_shape(bl)
-    return len(_closed(bl, range(1, d + 1), True, None, progress)[1])
+    return len(_closed(bricks, None, True, None, progress)[1])
 
 
 def is_tilable(target: Brick, minimal: BrickAntichain) -> bool:
@@ -685,14 +677,15 @@ def is_tilable(target: Brick, minimal: BrickAntichain) -> bool:
     return minimal.find_divisor(target) is not None
 
 
-def decide(target: Brick, protos, prune: bool = True) -> bool:
+def decide(target: Brick, protos) -> bool:
     """Signed-tilability decision without M(P): close the protos joined
     with the target, stopping once the target itself is reached.
 
     psi_T(b) = b v T side by side commutes with every cix, so the closure
     of psi_T(P) is psi_T of the closure of P, and c divides T exactly when
     psi_T(c) = T.  T, the least element of that closure, is in it exactly
-    when T is tilable, and is then its only minimal row.
+    when T is tilable, and is then its only minimal row.  The closure
+    always prunes; minimal_set(P, prune=False) is the unpruned cross-check.
     """
     bl = list(protos)
     if not bl:
@@ -716,7 +709,7 @@ def decide(target: Brick, protos, prune: bool = True) -> bool:
     codec = _BrickCodec([target] + lifted)
     goal, *rows = codec.rows([target] + lifted)
     for delta in range(1, d + 1):
-        rows = _close(delta, rows, codec, prune, None, None)
+        rows = _close(delta, rows, codec, True, None, None)
         if goal in rows:
             return True
     return False

@@ -42,7 +42,6 @@ __all__ = [
 # primes below 10**6 either finishes the factorization or leaves a prime
 # cofactor, and only up to (10**6)**2.
 _DECIMAL_BOUND = 10**12
-_U64_MAX = 2**64 - 1
 
 
 class ParseError(ValueError):
@@ -139,7 +138,7 @@ class FactoredNat:
         return 0
 
     def __repr__(self) -> str:
-        return f"FactoredNat({render_nat(self, style='auto')!r})"
+        return f"FactoredNat({render_nat(self)!r})"
 
 
 ONE = FactoredNat(())
@@ -242,24 +241,10 @@ def parse_nat(text: str) -> FactoredNat:
     return FactoredNat(tuple(pairs))
 
 
-def render_nat(x: FactoredNat, style: str = "factored") -> str:
-    """Render a nat literal.
-
-    style "factored" always writes p^e factors, "decimal" requires the
-    value to fit in u64, "auto" prefers decimal when parse_nat could
-    read it back (so round-trips are exact).
-    """
-    if style not in ("factored", "decimal", "auto"):
-        raise ValueError(f"unknown style {style!r}")
-    # e^28 > 10^12, so auto expands no value far above the bound
-    if style == "decimal" or style == "auto" and x.log < 28:
-        v = x.value
-        if style == "decimal":
-            if v > _U64_MAX:
-                raise ValueError(f"value exceeds u64, cannot render decimal: {x!r}")
-            return str(v)
-        if v <= _DECIMAL_BOUND:
-            return str(v)
-    if not x.factors:
-        return "1"
+def render_nat(x: FactoredNat) -> str:
+    """Render a nat literal that parse_nat reads back exactly: decimal
+    up to the factorization bound, p^e factors above it."""
+    # e^28 > 10^12, so no value far above the bound is expanded
+    if x.log < 28 and (v := x.value) <= _DECIMAL_BOUND:
+        return str(v)
     return "*".join(f"{p}^{e}" for p, e in x.factors)

@@ -33,7 +33,6 @@ from brickrank import (
     leq,
     meet,
     minimal_set,
-    monotone_count_oracle,
     nat,
     parse_brick,
     phrase,
@@ -47,6 +46,7 @@ from brickrank import (
 from brickrank.archetypes import archetype_of
 from brickrank.numlat import divides_nat
 from brickrank.witness import Placement, TilingWitness
+from test_dedekind import monotone_count_oracle
 
 RUN_SLOW = os.environ.get("BRICKRANK_RUN_SLOW", "").lower() in {
     "1", "true", "yes", "on",

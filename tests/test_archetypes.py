@@ -10,9 +10,7 @@ from brickrank.archetypes import (
     FactViolation,
     SymBrick,
     archetype_of,
-    arch_count_table,
     certificate,
-    check_d2_bijection,
     check_fact_F4,
     is_balanced,
     lattice_maxrank,
@@ -258,6 +256,14 @@ def test_archetype_extraction_n2():
     assert names == ["[w; ]", "[x; ]", "[w+x; (wx)^1]"]
 
 
+def arch_count_table(n: int) -> list[int]:
+    """Archetype counts by true dimension 0..n-1."""
+    out = [0] * n
+    for a in certificate(n).archetypes:
+        out[a.tau] += 1
+    return out
+
+
 def test_archetype_counts():
     assert [len(certificate(n).archetypes) for n in (1, 2, 3, 4)] == [1, 3, 11, 115]
     assert arch_count_table(3) == [3, 4, 4]
@@ -352,6 +358,18 @@ def test_render_polynomial_frozen():
 def test_fact_F4_nested_brick():
     for n in (1, 2, 3, 4):
         assert check_fact_F4(n)
+
+
+def check_d2_bijection(n: int) -> bool:
+    """alpha -> alpha x dual(alpha) maps the whole phrase lattice onto
+    the minimal bricks at level 2, one to one."""
+    cert = certificate(n)
+    lattice = dedekind.enumerate_lattice(n)
+    image = {
+        symbrick((alpha, dedekind.dual(alpha))) for alpha in lattice
+    }
+    level = min(2, len(cert.levels) - 1)  # n = 1 stops below level 2
+    return len(image) == len(lattice) and image == set(cert.levels[level])
 
 
 def test_d2_bijection_with_lattice():

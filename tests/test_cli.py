@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 import resource
@@ -98,27 +99,26 @@ def test_minimal_set_symbolic(capsys):
     assert "(wx)x(w+x)" in out.splitlines()
 
 
-def test_minimal_set_no_prune_same_answer(capsys):
-    code1, out1, _ = run(capsys, "minimal-set", "6x10", "15x4")
-    code2, out2, _ = run(capsys, "minimal-set", "6x10", "15x4", "--no-prune")
-    assert (code1, out1) == (code2, out2)
-
-
 def test_minimal_set_no_prune_closure_cap_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
-    code, out, err = run(capsys, "minimal-set", "--no-prune",
-                         "2x3x7", "3x7x2", "7x2x3")
+    code, out, err = run(capsys, "minimal-set", "2x3x7", "3x7x2", "7x2x3")
     assert (code, out) == (3, "")
     assert err.startswith("guard: ")
 
 
-WIDE = "(" + "+".join(f"w{l}" for l in range(1, 22)) + ")"
+def _sum_of_letters(letters):
+    return "(" + "+".join(f"w{l}" for l in letters) + ")"
+
+
+WIDE = _sum_of_letters(range(1, 22))
 
 
 @pytest.mark.parametrize("argv", [
     ("minimal-set", f"{WIDE}x(w)", "(w)x(w2)"),
     ("tilable", "(w)x(w)", f"{WIDE}x(w)", "(w)x(w2)"),
-    ("tilable", "(w)x(w)", f"{WIDE}x(w)", "(w)x(w2)", "--no-prune"),
+    # 21 letters in all, though no brick has more than 11
+    ("tilable", "(w)x(w)", f"{_sum_of_letters(range(1, 12))}x(w)",
+     f"(w)x{_sum_of_letters(range(12, 22))}"),
 ])
 def test_too_many_letters_exit_3(capsys, argv):
     start = time.perf_counter()
@@ -159,7 +159,7 @@ def test_tilable_json(capsys):
     ["3x1", "3x8", "(w)x(x)"],
     ["(w)x(x)", "3x8", "4x5"],
 ])
-@pytest.mark.parametrize("opts", [[], ["--no-prune"], ["--format", "json"]])
+@pytest.mark.parametrize("opts", [[], ["--format", "text"], ["--format", "json"]])
 def test_tilable_mixed_shapes_exit_2(capsys, argv, opts):
     code, out, err = run(capsys, "tilable", *argv, *opts)
     assert (code, out) == (2, "")
@@ -171,11 +171,10 @@ def test_tilable_decides_without_minimal_set(capsys, monkeypatch):
         raise AssertionError("minimal_set called")
 
     monkeypatch.setattr(cli, "minimal_set", refuse)
-    for opts in ([], ["--no-prune"]):
-        code, out, _ = run(capsys, "tilable", "3x1", "3x8", "4x5", "7x3", *opts)
-        assert (code, out) == (0, "yes\n")
-        code, out, _ = run(capsys, "tilable", "3x3", "2x2", "4x6", *opts)
-        assert (code, out) == (1, "no\n")
+    code, out, _ = run(capsys, "tilable", "3x1", "3x8", "4x5", "7x3")
+    assert (code, out) == (0, "yes\n")
+    code, out, _ = run(capsys, "tilable", "3x3", "2x2", "4x6")
+    assert (code, out) == (1, "no\n")
 
 
 def test_tilable_witness_output(capsys):
@@ -356,24 +355,44 @@ def test_out_of_range_integer_argument_exits_2(capsys, argv):
     assert "error: argument" in err and "Traceback" not in err
 
 
+# every option each subcommand takes; a new switch must be added here
+OPTIONS = {
+    "minimal-set": {"--input", "--format"},
+    "tilable": {"--input", "--witness", "--format"},
+    "maxrank": {"--table", "--n-max", "--d-max", "--allow-big", "--format"},
+    "dedekind": {"--count", "--enumerate", "--dual", "--format"},
+    "certificate": {"--output", "--resume", "--allow-big", "--format"},
+    "poly": {"--d-max", "--allow-big", "--format"},
+}
+
+
+def test_subcommand_options_are_pinned(capsys):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    for argv in (["minimal-set", "--no-prune", "2x3"],
+                 ["tilable", "--no-prune", "3x1", "3x1"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
+
+
 def test_maxrank_guard(capsys):
     code, _, err = run(capsys, "maxrank", "5", "3")
     assert code == 3
     assert "guard" in err
 
 
-def test_guard_override_env(monkeypatch):
-    class Args:
-        allow_big = False
-
-    monkeypatch.delenv("BRICKRANK_GUARD_OVERRIDE", raising=False)
-    assert not cli._allow_big(Args())
+def test_guard_env_var_does_not_override(capsys, monkeypatch):
+    """--allow-big is the one way past a guard."""
     monkeypatch.setenv("BRICKRANK_GUARD_OVERRIDE", "1")
-    assert cli._allow_big(Args())
-    monkeypatch.setenv("BRICKRANK_GUARD_OVERRIDE", "off")
-    assert not cli._allow_big(Args())
-    Args.allow_big = True
-    assert cli._allow_big(Args())
+    code, out, err = run(capsys, "maxrank", "1", "9")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: ")
+    assert run(capsys, "maxrank", "1", "9", "--allow-big")[:2] == (0, "1\n")
 
 
 def test_dedekind_count(capsys, monkeypatch):

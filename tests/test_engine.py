@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import combinations, permutations
@@ -555,9 +556,8 @@ def test_increasing_letter_renames_commute():
                 got = minimal_set(wide, prune=prune).bricks
                 assert got == tuple(_rename(b, spread)
                                     for b in minimal_set(P, prune=prune))
-                for T in targets:
-                    assert (decide(_rename(T, spread), wide, prune=prune)
-                            == decide(T, P, prune=prune))
+            for T in targets:
+                assert decide(_rename(T, spread), wide) == decide(T, P)
 
 
 @pytest.mark.parametrize("far", [18, 40])
@@ -632,6 +632,24 @@ def test_rank_refuses_empty_and_mixed_sets():
         rank([brick(2, 3), brick(2, 3, 5)])
     with pytest.raises(DimensionMismatch):
         rank([brick(2, 3), brick("(w)", "(x)")])
+
+
+@pytest.mark.parametrize("close", [
+    functools.partial(ext_dir, 1), ext_all, minimal_set,
+    functools.partial(minimal_set, prune=False)],
+    ids=["ext_dir", "ext_all", "minimal_set", "minimal_set_unpruned"])
+def test_closures_refuse_empty_and_mixed_lattices(close):
+    with pytest.raises(ValueError):
+        close([])
+    # the shape check comes before sorting, which cannot order the two
+    with pytest.raises(DimensionMismatch):
+        close([brick(3, 1), brick("(w)", "(x)")])
+
+
+def test_ext_dir_refuses_a_direction_outside_the_shape():
+    for delta in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            ext_dir(delta, [brick(3, 1)])
 
 
 def test_geometric_maxrank_decodes_no_brick(monkeypatch):
@@ -750,9 +768,9 @@ def _decide_cases():
 def test_decide_matches_minimal_set():
     outcomes = set()
     for target, P in _decide_cases():
-        want = is_tilable(target, minimal_set(P))
-        for prune in (True, False):
-            assert decide(target, P, prune=prune) == want, (target, P, prune)
+        want = is_tilable(target, minimal_set(P, prune=False))
+        assert is_tilable(target, minimal_set(P)) == want, (target, P)
+        assert decide(target, P) == want, (target, P)
         divided = any(brick_divides(p, target) for p in P)
         outcomes.add((lattice_of(target).name, want, divided))
     # both answers, and positives that need a closure, in both lattices
@@ -767,7 +785,7 @@ def test_decide_dividing_proto_starts_no_closure(monkeypatch):
 
     monkeypatch.setattr(brickrank.engine, "_close", refuse)
     assert decide(brick(34, 11), [brick(2, 3), brick(17, 11)])
-    assert decide(brick("(w+x)", "(x)"), [brick("(w)", "(x)")], prune=False)
+    assert decide(brick("(w+x)", "(x)"), [brick("(w)", "(x)")])
     with pytest.raises(AssertionError):
         decide(brick(3, 1), FIG2)
 
