@@ -545,10 +545,7 @@ def rank_polynomial(n: int, allow_big: bool = False) -> tuple[Fraction, ...]:
     cert = certificate(n, allow_big=allow_big)
     coeffs = [Fraction(0)] * max(n, 1)
     for a in cert.archetypes:
-        t = a.tau
-        q = math.factorial(t)
-        for _, r in a.parts:
-            q //= math.factorial(r)
+        t, q = a.tau, placement_count(a, a.tau)
         # q * C(d, t) expanded: q / t! * d (d-1) ... (d-t+1)
         poly = [Fraction(q, math.factorial(t))]
         for i in range(t):
@@ -563,17 +560,21 @@ def rank_polynomial(n: int, allow_big: bool = False) -> tuple[Fraction, ...]:
 
 def render_polynomial(coeffs) -> str:
     """Exact text like 3 + 1/2*(d + 7*d^2): integer constant, then the
-    higher terms over the common factorial denominator."""
+    higher terms over the common factorial denominator.  Coefficients
+    that do not fit that form raise FactViolation."""
     n = len(coeffs)
     const = coeffs[0]
-    assert const.denominator == 1
+    if const.denominator != 1:
+        raise FactViolation(f"constant term {const} is not an integer")
     if n == 1:
         return str(const)
     denom = math.factorial(n - 1)
     terms = []
     for i in range(1, n):
         c = coeffs[i] * denom
-        assert c.denominator == 1, "denominator exceeds (n-1)!"
+        if c.denominator != 1:
+            raise FactViolation(f"coefficient {coeffs[i]} of d^{i} has a "
+                                f"denominator beyond {denom}")
         c = c.numerator
         if c == 0:
             continue

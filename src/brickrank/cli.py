@@ -23,7 +23,7 @@ from .dedekind import (
     PhraseParseError,
     dual,
     enumerate_lattice,
-    lattice_tables,
+    lattice_count,
     parse_phrase,
     phrase_key,
     render_phrase,
@@ -182,7 +182,7 @@ def cmd_dedekind(args) -> int:
             for a in phrases:
                 print(render_phrase(a, n))
         return 0
-    count = len(lattice_tables(n))
+    count = lattice_count(n)
     if args.format == "json":
         print(json.dumps({"n": n, "count": count}))
     else:

@@ -38,6 +38,7 @@ __all__ = [
     "parse_phrase",
     "enumerate_lattice",
     "lattice_tables",
+    "lattice_count",
     "eval_hom",
     "phrase_tt",
     "phrase_from_tt",
@@ -202,7 +203,7 @@ def parse_phrase(text: str) -> Phrase:
 # a table over letters 1..k+1 is the part where letter k+1 is false: a
 # table is monotone exactly when both halves are monotone tables over
 # letters 1..k and the low half lies within the high one (Dedekind's
-# halving, which lattice_tables runs up from no letters).
+# halving, which _monotone_tables runs up from no letters).
 
 
 def phrase_tt(a: Phrase, n: int) -> int:
@@ -269,30 +270,52 @@ def phrase_from_tt(tt: int, n: int) -> Phrase:
 
 
 # ---------------------------------------------------------------------------
-# whole-lattice enumeration and the independent count
+# whole-lattice enumeration and the count
 
 
-def lattice_tables(n: int) -> set[int]:
-    """The truth tables of all phrases on letters 1..n, with no phrase
-    built, by Dedekind's halving: the tables on k+1 letters are
-    f0 | f1 << 2^k for every pair of tables f0 within f1 on k letters,
-    from the constants 0 and 1 on no letters, dropped at the end.
-    Guard: 1 <= n <= 6 (n = 6: 7,828,352 tables in about 10 s at 630 MB
-    peak RSS on a 2-core machine)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > 6:
-        raise GuardExceeded(f"lattice enumeration supports n <= 6, got {n}")
+def _monotone_tables(n: int) -> list[int]:
+    """Every monotone table on letters 1..n, the two constants included,
+    in ascending order, by Dedekind's halving: the tables on k+1 letters
+    are f0 | f1 << 2^k for every pair of tables f0 within f1 on k
+    letters, from the constants 0 and 1 on no letters."""
     tables = [0, 1]
     for k in range(n):
         # the tables ascend, so every f0 within f1 comes at or before f1,
         # and f1 as the high half keeps the new tables ascending
-        pairs = (map((f1 << (1 << k)).__or__,
-                     filterfalse((~f1).__and__, islice(tables, i + 1)))
-                 for i, f1 in enumerate(tables))
-        tables = (set if k == n - 1 else list)(chain.from_iterable(pairs))
-    tables -= {0, (1 << (1 << n)) - 1}
+        tables = list(chain.from_iterable(
+            map((f1 << (1 << k)).__or__,
+                filterfalse((~f1).__and__, islice(tables, i + 1)))
+            for i, f1 in enumerate(tables)))
     return tables
+
+
+def lattice_tables(n: int) -> set[int]:
+    """The truth tables of all phrases on letters 1..n, with no phrase
+    built: the monotone tables less the two constants.  Guard:
+    1 <= n <= 5."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 5:
+        raise GuardExceeded(f"lattice enumeration supports n <= 5, got {n}")
+    return set(_monotone_tables(n)[1:-1])
+
+
+def lattice_count(n: int) -> int:
+    """D(n) - 2, the number of phrases on letters 1..n, from the tables
+    on n - 2 letters: a monotone table on k + 2 letters is four, f00
+    within f01 and f10 within f11, one per value of the last two letters,
+    so D(k + 2) sums |[0, a & b]| * |[a | b, 1]| over the monotone tables
+    a = f01 and b = f10 on k letters.  Guard: 1 <= n <= 6."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 6:
+        raise GuardExceeded(f"lattice count supports n <= 6, got {n}")
+    if n == 1:
+        return 1
+    tables = _monotone_tables(n - 2)
+    below = {g: sum(not f & ~g for f in tables) for g in tables}
+    above = {g: sum(not g & ~f for f in tables) for g in tables}
+    return sum(below[a & b] * above[a | b] for a in tables for b in tables) - 2
 
 
 def enumerate_lattice(n: int) -> set[Phrase]:
@@ -321,5 +344,6 @@ def eval_hom(a: Phrase, assign: dict[int, FactoredNat]) -> FactoredNat:
             v = assign[l]
             cur = v if cur is None else gcd_nat(cur, v)
         out = cur if out is None else lcm_nat(out, cur)
-    assert out is not None
+    if out is None:
+        raise ValueError("a phrase needs at least one word")
     return out

@@ -34,8 +34,8 @@ comes from the same run.  Mid-closure pruning (dropping any brick
 another brick divides) is on by default and does not change the
 minimal set, because combines are monotone in each argument; pass
 prune=False to minimal_set, ext_dir or ext_all to cross-check.
-minimal_elements and BrickAntichain.validate run the same sliced test
-on rows of the same codec.
+minimal_elements runs the same sliced test on rows of the same codec; a
+set is an antichain exactly when minimal_elements gives it back.
 
 One tilability decision needs less than M(P).  Joining with a fixed
 element of a distributive lattice is a lattice homomorphism, so
@@ -319,15 +319,16 @@ class Brick:
 
 def brick(*sides) -> Brick:
     """Convenience constructor accepting ints, literals, or lattice values.
-    String sides parse like brick text: nat literals, or (phrase)."""
+    An int or string side is brick text of one side: a nat literal, or
+    (phrase)."""
     conv = []
     for s in sides:
-        if isinstance(s, int):
-            conv.append(parse_nat(str(s)))
-        elif isinstance(s, str):
-            conv.append(_parse_side(s))
-        else:
-            conv.append(s)
+        if isinstance(s, (int, str)):
+            b = parse_brick(str(s))
+            if b.dim != 1:
+                raise BrickParseError(f"one side expected, got {s!r}")
+            s = b.sides[0]
+        conv.append(s)
     return Brick(tuple(conv))
 
 
@@ -343,6 +344,18 @@ def _check_same_shape(bricks) -> int:
     if len(kinds) != 1:
         raise DimensionMismatch(f"mixed sidelength lattices {sorted(kinds)}")
     return dims.pop()
+
+
+def _canonical(bricks, empty: str) -> tuple[int, list[Brick]]:
+    """The dimension and the distinct bricks of a non-empty set of one
+    shape, in brick_sort_key order.  No bricks raise ValueError(empty);
+    the shape is checked before the sort, which cannot order two
+    lattices."""
+    bl = list(bricks)
+    if not bl:
+        raise ValueError(empty)
+    d = _check_same_shape(bl)
+    return d, sorted(set(bl), key=brick_sort_key)
 
 
 def brick_divides(a: Brick, b: Brick) -> bool:
@@ -386,9 +399,9 @@ def _bits(x: int) -> list[int]:
 
 
 class _BrickCodec:
-    """Bricks of one shape as int rows.  Side i of a brick holds bits
-    [i * stride, (i + 1) * stride) of its row: the side's code under its
-    lattice's side_codec, built from every side of the bricks given.
+    """Bricks of one shape (the caller checks) as int rows.  Side i of a
+    brick holds bits [i * stride, (i + 1) * stride) of its row: the side's
+    code under its lattice's side_codec, built from every side given.
     Natural codes are exact only on the sublattice those sides generate,
     which holds every combine of the bricks, so callers encode no other
     natural; phrase codes are exact on every phrase over the letters.
@@ -402,7 +415,7 @@ class _BrickCodec:
     it has none of the other's probed zeros."""
 
     def __init__(self, bricks):
-        self.dim = _check_same_shape(bricks)
+        self.dim = bricks[0].dim
         self.stride, self.encode_side, decode, probe = lattice_of(
             bricks[0]).side_codec([s for b in bricks for s in b.sides])
         self.decode_side = functools.cache(decode)
@@ -475,13 +488,6 @@ class _Slices:
             for k in probe(row >> at & ones)[0]:
                 hit &= cols[k]
         return hit
-
-
-def _divisors(bricks) -> list[int]:
-    """For each brick, bit i set when the i-th brick divides it."""
-    codec = _BrickCodec(bricks)
-    rows = codec.rows(bricks)
-    return list(map(_Slices(codec, rows).below, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +565,9 @@ def _closed(bricks, delta, prune, trace, progress):
     Trace entries go in the order the rows were made, keeping any
     derivation already there, and never name an input of this or an
     earlier pass.  Returns the codec and the live rows."""
-    bl = list(bricks)
-    if not bl:
-        raise ValueError("closure of an empty proto-set")
-    d = _check_same_shape(bl)
+    d, start = _canonical(bricks, "closure of an empty proto-set")
     if delta is not None and not 1 <= delta <= d:
         raise ValueError(f"direction {delta} outside 1..{d}")
-    start = sorted(set(bl), key=brick_sort_key)
     codec = _BrickCodec(start)
     rows = codec.rows(start)
     derived = [] if trace is not None else None
@@ -612,28 +614,11 @@ class BrickAntichain:
 
     bricks: tuple[Brick, ...]
 
-    @staticmethod
-    def of(bricks) -> "BrickAntichain":
-        return BrickAntichain(tuple(sorted(set(bricks), key=brick_sort_key)))
-
     def __iter__(self):
         return iter(self.bricks)
 
     def __len__(self) -> int:
         return len(self.bricks)
-
-    def __contains__(self, b: Brick) -> bool:
-        return b in self.bricks
-
-    def validate(self) -> None:
-        """Raise if any two members are comparable (packed subset tests)."""
-        bs = self.bricks
-        if len(bs) <= 1:
-            return
-        for j, below in enumerate(_divisors(bs)):
-            if others := below & ~(1 << j):
-                i = _bits(others)[0]
-                raise ValueError(f"not an antichain: {bs[i]} divides {bs[j]}")
 
     def find_divisor(self, target: Brick) -> Brick | None:
         for m in self.bricks:
@@ -643,12 +628,14 @@ class BrickAntichain:
 
 
 def minimal_elements(bricks) -> BrickAntichain:
-    """The bricks of S no other brick of S strictly divides."""
-    bl = sorted(set(bricks), key=brick_sort_key)
-    if not bl:
-        raise ValueError("minimal_elements of an empty set")
-    return BrickAntichain(tuple(b for s, (b, below) in enumerate(
-        zip(bl, _divisors(bl))) if below == 1 << s))
+    """The bricks of S no other brick of S strictly divides, in canonical
+    order: those whose row no other row lies within."""
+    _, bl = _canonical(bricks, "minimal_elements of an empty set")
+    codec = _BrickCodec(bl)
+    rows = codec.rows(bl)
+    below = _Slices(codec, rows).below
+    return BrickAntichain(tuple(b for s, (b, row) in enumerate(zip(bl, rows))
+                                if below(row) == 1 << s))
 
 
 def minimal_set(bricks, prune: bool = True,
@@ -727,19 +714,6 @@ def render_brick(b: Brick) -> str:
 
 
 _SYM_BRICK_RE = re.compile(r"^\(([^()]*)\)(?:x\(([^()]*)\))*$")
-
-
-def _parse_side(text: str):
-    """One side in brick-text form: a nat literal or a (phrase)."""
-    if text.startswith("("):
-        if not (len(text) > 2 and text.endswith(")")
-                and "(" not in text[1:-1] and ")" not in text[1:-1]):
-            raise BrickParseError(f"malformed symbolic side: {text!r}")
-        try:
-            return dedekind.parse_phrase(text[1:-1])
-        except dedekind.PhraseParseError as e:
-            raise BrickParseError(str(e)) from None
-    return parse_nat(text)
 
 
 def parse_brick(text: str) -> Brick:

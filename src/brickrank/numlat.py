@@ -57,11 +57,16 @@ class GuardExceeded(RuntimeError):
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The least strong pseudoprime to every base of _SMALL_PRIMES (Sorenson
+# and Webster 2015), 399165290221 * 798330580441: below it
+# is_probable_prime proves primality.
+_PRIME_BOUND = 318665857834031151167461
+
 _prime_cache: list[int] = [2, 3]
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin over fixed bases, deterministic for n < 3.3e24."""
+    """Miller-Rabin over fixed bases, deterministic for n < _PRIME_BOUND."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -170,13 +175,17 @@ def nat(k: int) -> FactoredNat:
 
 
 def nat_from_factors(factors: dict[int, int] | list[tuple[int, int]]) -> FactoredNat:
-    """Build from {prime: exponent}; bases are primality-checked."""
+    """Build from {prime: exponent}.  Each base must be proved prime, so
+    bases from _PRIME_BOUND up raise ParseError like composite ones."""
     items = sorted(dict(factors).items())
     for p, e in items:
+        if p >= _PRIME_BOUND:
+            raise ParseError(f"base {p} is too large: primality is proved "
+                             f"only below {_PRIME_BOUND}")
         if not is_probable_prime(p):
-            raise ValueError(f"base {p} is not prime")
+            raise ParseError(f"base {p} is not prime")
         if e < 0:
-            raise ValueError(f"negative exponent for {p}")
+            raise ParseError(f"negative exponent for {p}")
     return FactoredNat(tuple((p, e) for p, e in items if e > 0))
 
 
@@ -225,20 +234,16 @@ def parse_nat(text: str) -> FactoredNat:
             return nat(k)
         except ValueError as e:
             raise ParseError(str(e)) from None
-    pairs = []
-    last = 1
-    for part in text.split("*"):
-        fm = _FACTOR_RE.match(part)
-        if not fm:
-            raise ParseError(f"malformed nat literal: {text!r}")
-        p, e = int(fm.group(1)), int(fm.group(2))
-        if p <= last:
-            raise ParseError(f"primes must strictly increase: {text!r}")
-        if not is_probable_prime(p):
-            raise ParseError(f"base {p} is not prime in {text!r}")
-        pairs.append((p, e))
-        last = p
-    return FactoredNat(tuple(pairs))
+    parts = [_FACTOR_RE.match(part) for part in text.split("*")]
+    if not all(parts):
+        raise ParseError(f"malformed nat literal: {text!r}")
+    pairs = [(int(m[1]), int(m[2])) for m in parts]
+    if any(p >= q for (p, _), (q, _) in zip(pairs, pairs[1:])):
+        raise ParseError(f"primes must strictly increase: {text!r}")
+    try:
+        return nat_from_factors(pairs)
+    except ParseError as e:
+        raise ParseError(f"{e} in {text!r}") from None
 
 
 def render_nat(x: FactoredNat) -> str:

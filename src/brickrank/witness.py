@@ -176,9 +176,7 @@ def parallel_pack(b: Brick, target: Brick) -> TilingWitness | None:
     if not brick_divides(b, target):
         return None
     _check_sizes((b, target))
-    placements = tuple(Placement(0, off, 1)
-                       for off in _grid(_int_sides(b), _int_sides(target)))
-    return _checked(TilingWitness(target, (b,), placements))
+    return _witness((b,), {}, b, target)
 
 
 def _segment_pair(x: int, y: int, t: int) -> list[tuple[int, int, int]]:
@@ -246,10 +244,14 @@ def _build(protos: tuple[Brick, ...], trace: dict, b: Brick,
     return _placements(build(b, box))
 
 
-def _checked(w: TilingWitness) -> TilingWitness:
-    """Constructors always self-verify; a failure here is a bug."""
+def _witness(protos: tuple[Brick, ...], trace: dict, b: Brick,
+             target: Brick) -> TilingWitness:
+    """The witness _build makes of target from b, verified: every
+    constructor ends here, and a failed check is a bug."""
+    w = TilingWitness(target, protos,
+                      _build(protos, trace, b, _int_sides(target)))
     if not verify_witness(w):
-        raise RuntimeError("internal error: constructed witness failed verification")
+        raise RuntimeError("constructed witness failed verification")
     return w
 
 
@@ -259,7 +261,6 @@ def combine_witness(delta: int, bricks: list[Brick]) -> TilingWitness:
     segment tiling along delta thickened to slabs of the target."""
     target = comb(delta, bricks)
     _check_sizes((target, *bricks))
-    box = _int_sides(target)
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
     acc = bricks[0]
     for b in bricks[1:]:
@@ -267,9 +268,7 @@ def combine_witness(delta: int, bricks: list[Brick]) -> TilingWitness:
         if c != acc:
             trace[c] = (delta, acc, b)
             acc = c
-    protos = tuple(bricks)
-    return _checked(TilingWitness(target, protos,
-                                  _build(protos, trace, acc, box)))
+    return _witness(tuple(bricks), trace, acc, target)
 
 
 def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
@@ -283,12 +282,8 @@ def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     protos = tuple(dict.fromkeys(protoset))
     _check_sizes((target, *protos))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
-    M = minimal_set(protos, trace=trace)
-    m = M.find_divisor(target)
-    if m is None:
-        return None
-    placements = _build(protos, trace, m, _int_sides(target))
-    return _checked(TilingWitness(target, protos, placements))
+    m = minimal_set(protos, trace=trace).find_divisor(target)
+    return None if m is None else _witness(protos, trace, m, target)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from brickrank import (
     lcm_nat,
     leq,
     meet,
+    minimal_elements,
     minimal_set,
     nat,
     parse_brick,
@@ -333,7 +334,7 @@ def test_property_suites():
         fixtures.append(_random_bricks(rng, rng.randrange(1, 5), d, 30))
     for P in fixtures:
         M = minimal_set(P)
-        M.validate()
+        assert minimal_elements(M).bricks == M.bricks
         for x, z in combinations(M.bricks, 2):
             assert not brick_divides(x, z) and not brick_divides(z, x)
         for p in P:

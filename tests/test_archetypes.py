@@ -351,6 +351,20 @@ def test_render_polynomial_frozen():
     )
 
 
+def test_render_polynomial_branches():
+    F = Fraction
+    assert render_polynomial((F(2), F(0), F(1, 2))) == "2 + 1/2*(d^2)"
+    assert render_polynomial((F(1), F(-1))) == "1 + -d"
+    assert render_polynomial((F(0), F(-1, 2), F(1, 2))) == "0 + 1/2*(-d + d^2)"
+    assert render_polynomial((F(5), F(0), F(0))) == "5"
+
+
+def test_render_polynomial_refuses_other_denominators():
+    for coeffs in [(Fraction(1, 2),), (Fraction(1), Fraction(1, 3))]:
+        with pytest.raises(FactViolation):
+            render_polynomial(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # internal consistency facts
 

@@ -441,6 +441,35 @@ def test_dedekind_enumerate_guard(capsys, monkeypatch):
     assert err.startswith("guard:") and "n <= 5" in err
 
 
+def test_pseudoprime_base_exits_2(capsys):
+    """318665857834031151167461 = 399165290221 * 798330580441 passes every
+    Miller-Rabin base, so it is refused, not taken for a prime; so is
+    every base above it, composite or not."""
+    for small, big in (("399165290221", "318665857834031151167461"),
+                       ("1287836182261", "3317044064679887385961981")):
+        protos = (f"{small}^1x1", f"{big}^1x1")
+        for argv in (("tilable", "1x1") + protos,
+                     ("tilable", "--witness", "1x1") + protos,
+                     ("minimal-set",) + protos):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: base {big} is too large")
+
+
+def test_outputs_pinned(capsys):
+    for argv, want in [
+        (("maxrank", "3", "4", "--format", "csv"), "n,d,maxrank\n3,4,61\n"),
+        (("dedekind", "3", "--dual", "w+xy", "--format", "json"),
+         '{"phrase": "w+xy", "dual": "wx+wy"}\n'),
+        (("dedekind", "5", "--dual", "w+xy", "--format", "json"),
+         '{"phrase": "w1+w2w3", "dual": "w1w2+w1w3"}\n'),
+        (("dedekind", "2", "--enumerate", "--format", "json"),
+         '{\n  "n": 2,\n  "count": 4,\n  "phrases": [\n    "w",\n'
+         '    "x",\n    "wx",\n    "w+x"\n  ]\n}\n'),
+    ]:
+        assert run(capsys, *argv)[:2] == (0, want), argv
+
+
 def test_certificate_text_and_files(capsys, tmp_path):
     out_path = tmp_path / "n3.jsonl"
     code, out, err = run(capsys, "certificate", "3", "--output", str(out_path))

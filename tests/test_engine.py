@@ -15,7 +15,6 @@ from brickrank.dedekind import (
 )
 from brickrank.engine import (
     Brick,
-    BrickAntichain,
     BrickParseError,
     DimensionMismatch,
     GuardExceeded,
@@ -81,6 +80,10 @@ def test_brick_rejects_empty_and_mixed():
         brick()
     with pytest.raises(ValueError):
         brick(25, "(w)")
+    # each argument is one side
+    for bad in ["25x3", "(w)x(x)", "(w", "0"]:
+        with pytest.raises(BrickParseError):
+            brick(bad)
 
 
 def test_brick_text_round_trip_exact():
@@ -636,8 +639,9 @@ def test_rank_refuses_empty_and_mixed_sets():
 
 @pytest.mark.parametrize("close", [
     functools.partial(ext_dir, 1), ext_all, minimal_set,
-    functools.partial(minimal_set, prune=False)],
-    ids=["ext_dir", "ext_all", "minimal_set", "minimal_set_unpruned"])
+    functools.partial(minimal_set, prune=False), minimal_elements],
+    ids=["ext_dir", "ext_all", "minimal_set", "minimal_set_unpruned",
+         "minimal_elements"])
 def test_closures_refuse_empty_and_mixed_lattices(close):
     with pytest.raises(ValueError):
         close([])
@@ -670,7 +674,7 @@ def test_minimal_set_antichain_and_covering_invariants():
         d = rng.randrange(1, 4)
         P = _random_bricks(rng, rng.randrange(1, 5), d, 30)
         M = minimal_set(P)
-        M.validate()
+        assert minimal_elements(M).bricks == M.bricks
         for a, b in combinations(M.bricks, 2):
             assert not brick_divides(a, b) and not brick_divides(b, a)
         # every proto sits above some minimal brick
@@ -806,7 +810,6 @@ def test_antichain_membership_and_dimension_guard():
         is_tilable(brick(3, 3, 3), M)
 
 
-def test_antichain_validate_rejects_comparable():
-    bad = BrickAntichain.of([brick(3, 8), brick(9, 8)])
-    with pytest.raises(ValueError):
-        bad.validate()
+def test_minimal_elements_tells_an_antichain():
+    # M is an antichain exactly when minimal_elements gives M back
+    assert minimal_elements([brick(9, 8), brick(3, 8)]).bricks == (brick(3, 8),)

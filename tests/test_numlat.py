@@ -126,6 +126,28 @@ def test_parse_nat_rejects_garbage():
             parse_nat(bad)
 
 
+# the least strong pseudoprime to all twelve bases of is_probable_prime,
+# 2 to 37 (Sorenson and Webster 2015)
+PSEUDOPRIME = 318665857834031151167461
+
+
+def test_prime_bases_must_lie_below_the_proved_bound():
+    assert PSEUDOPRIME == 399165290221 * 798330580441
+    assert is_probable_prime(PSEUDOPRIME)  # why it must be refused
+    below = PSEUDOPRIME - 20  # the largest prime below it
+    assert parse_nat(f"{below}^1").factors == ((below, 1),)
+    assert parse_nat("399165290221^1").factors == ((399165290221, 1),)
+    assert nat_from_factors({399165290221: 2}).factors == ((399165290221, 2),)
+    # psi_13 = 1287836182261 * 2575672364521 passes base 41 as well
+    for base in (PSEUDOPRIME, 3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ParseError, match="too large"):
+            parse_nat(f"{base}^1")
+        with pytest.raises(ParseError, match="too large"):
+            parse_nat(f"2^1*{base}^1")
+        with pytest.raises(ParseError, match="too large"):
+            nat_from_factors({base: 1})
+
+
 def test_render_nat_styles():
     assert render_nat(nat(150)) == "150"
     assert render_nat(ONE) == "1"
