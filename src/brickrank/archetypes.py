@@ -300,12 +300,13 @@ class _Level:
                      for _, _, env, parts in sorted(seen))
 
 
-def next_minimal_level(prev: _Level, d: int, progress=None) -> _Level:
-    """Minimal bricks at level d from those at level d-1, both packed:
-    copy each row's envelope into coordinate d, close under the binary
-    combine in coordinate d, keep the minimal elements.  The inputs go in
-    in brick_sort_key order (by side ranks), as ext_dir would take them."""
-    run = prev.run
+def next_minimal_level(prev: _Level) -> _Level:
+    """Minimal bricks at level d = prev.d + 1 from those at level d - 1,
+    both packed: copy each row's envelope into coordinate d, close under
+    the binary combine in coordinate d, keep the minimal elements.  The
+    inputs go in in brick_sort_key order (by side ranks), as ext_dir
+    would take them."""
+    run, d = prev.run, prev.d + 1
     stride, ones, rank = run.codec.stride, run.codec.ones, run.rank
     ranked = sorted((tuple(map(rank.get, s)), r)
                     for s, r in zip(prev.sides, prev.rows))
@@ -313,10 +314,7 @@ def next_minimal_level(prev: _Level, d: int, progress=None) -> _Level:
     rows = [r | (r >> last & ones) << new for _, r in ranked]
     # pruned: the live rows are already the minimal ones
     rows = _close(d, rows, run.codec.widened(d + 1), True, None, None)
-    level = run.level(d, rows)
-    if progress is not None:
-        progress(f"level {d}: {len(rows)} minimal bricks")
-    return level
+    return run.level(d, rows)
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,9 @@ class Certificate:
     archetypes: tuple["Archetype", ...]
 
 
-_CERT_CACHE: dict[int, Certificate] = {}
+def _cubes(n: int) -> tuple[SymBrick, ...]:
+    """Level 0: the n letter cubes, in certificate order."""
+    return tuple(SymBrick((), _pure_sum([i])) for i in range(1, n + 1))
 
 
 def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
@@ -352,8 +352,6 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
             f"certificate n={n} exceeds the default guard (n <= 4); "
             "pass allow_big (and a checkpoint path) to force"
         )
-    if checkpoint is None and n in _CERT_CACHE:
-        return _CERT_CACHE[n]
 
     levels: list[tuple[SymBrick, ...]] = []
     complete = False
@@ -363,44 +361,39 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
             progress(f"resumed {len(levels)} levels from {checkpoint}")
     fresh = not levels
     if fresh:
-        levels = [tuple(SymBrick((), _pure_sum([i])) for i in range(1, n + 1))]
+        levels = [_cubes(n)]
     # fresh or resumed, the run goes on from its last level, packed
     level = _Run(n).pack(len(levels) - 1, levels[-1])
-    dims = [max(map(true_dim, lv)) for lv in levels[:-1]]
-    dims.append(level.max_true_dim)
     if fresh:
-        _write_level(checkpoint, n, level)
+        _write_level(checkpoint, level)
 
-    while True:
-        d = len(levels)
-        if d > 1 and dims[-1] < d - 1:
-            break  # the previous level already failed to use its last coordinate
-        if d > n:
+    # levels nest upward: the last one holds the top true dimension
+    while level.max_true_dim == level.d:
+        if level.d >= n:
             raise FactViolation(
-                f"construction for n={n} still growing at level {d}"
+                f"construction for n={n} still growing at level {level.d + 1}"
             )
-        level = next_minimal_level(level, d, progress=progress)
+        level = next_minimal_level(level)
+        if progress is not None:
+            progress(f"level {level.d}: {len(level.rows)} minimal bricks")
         levels.append(level.symbricks())
-        dims.append(level.max_true_dim)
-        _write_level(checkpoint, n, level)
+        _write_level(checkpoint, level)
 
-    max_dim = max(dims)
-    if max_dim != n - 1:
-        raise FactViolation(
-            f"top true dimension {max_dim} for n={n}, counting needs {n - 1}"
-        )
-    cert = Certificate(n, tuple(levels), max_dim, level.archetypes())
+    if level.max_true_dim != n - 1:
+        raise FactViolation(f"top true dimension {level.max_true_dim} for "
+                            f"n={n}, counting needs {n - 1}")
+    cert = Certificate(n, tuple(levels), level.max_true_dim,
+                       level.archetypes())
     if checkpoint and not complete:
         _write_summary(checkpoint, cert)
-    _CERT_CACHE.setdefault(n, cert)
     return cert
 
 
-def _write_level(path: str | None, n: int, level: _Level) -> None:
+def _write_level(path: str | None, level: _Level) -> None:
     if not path:
         return
     doc = {
-        "n": n,
+        "n": level.run.n,
         "dimension": level.d,
         "max_true_dim": level.max_true_dim,
         "bricks": level.texts(),
@@ -414,7 +407,7 @@ def _write_summary(path: str, cert: Certificate) -> None:
         "complete": True,
         "max_true_dim": cert.max_true_dim,
         "levels": [len(l) for l in cert.levels],
-        "archetypes": [render_archetype(a) for a in cert.archetypes],
+        "archetypes": [render_archetype(a, cert.n) for a in cert.archetypes],
     }
     _append(path, doc)
 
@@ -473,6 +466,9 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
                 f"checkpoint {path}: level {d} has no list of brick texts")
         levels.append(tuple(_checkpoint_brick(path, n, d, t, phrases)
                             for t in texts))
+    if levels and levels[0] != _cubes(n):
+        raise CheckpointError(
+            f"checkpoint {path}: level 0 is not the {n} letter cubes")
     if cut is not None:
         try:
             with open(path, "r+b") as fh:
@@ -531,19 +527,17 @@ def placement_count(a: Archetype, d: int) -> int:
     return out
 
 
-def lattice_maxrank(n: int, d: int, allow_big: bool = False) -> int:
-    """Minimal bricks at level d, counted through archetypes.  Extends
-    the geometric table to every d >= 0, including d = 0 (the n cubes)
-    and d = 1 (all 2**n - 1 sub-alphabet words)."""
-    cert = certificate(n, allow_big=allow_big)
+def lattice_maxrank(cert: Certificate, d: int) -> int:
+    """Minimal bricks at level d of cert, counted through archetypes.
+    Extends the geometric table to every d >= 0, including d = 0 (the n
+    cubes) and d = 1 (all 2**n - 1 sub-alphabet words)."""
     return sum(placement_count(a, d) for a in cert.archetypes)
 
 
-def rank_polynomial(n: int, allow_big: bool = False) -> tuple[Fraction, ...]:
-    """Coefficients c0..c(n-1) with lattice_maxrank(n, d) = sum ci d**i
+def rank_polynomial(cert: Certificate) -> tuple[Fraction, ...]:
+    """Coefficients c0..c(n-1) with lattice_maxrank(cert, d) = sum ci d**i
     for all d >= n - 1; denominators divide (n-1)!."""
-    cert = certificate(n, allow_big=allow_big)
-    coeffs = [Fraction(0)] * max(n, 1)
+    coeffs = [Fraction(0)] * cert.n
     for a in cert.archetypes:
         t, q = a.tau, placement_count(a, a.tau)
         # q * C(d, t) expanded: q / t! * d (d-1) ... (d-t+1)
@@ -587,25 +581,25 @@ def render_polynomial(coeffs) -> str:
             terms.append(f"{c}*{var}")
     if not terms:
         return str(const)
-    body = " + ".join(terms).replace("+ -", "- ")
-    if denom == 1:
-        return f"{const} + {body}" if len(terms) == 1 else f"{const} + ({body})"
-    return f"{const} + 1/{denom}*({body})"
+    body = " + ".join(terms)
+    # denom is 1 only for n = 2, whose one term needs no parentheses
+    text = (f"{const} + {body}" if denom == 1
+            else f"{const} + 1/{denom}*({body})")
+    return text.replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
 # structural checks
 
 
-def check_fact_F4(n: int) -> bool:
+def check_fact_F4(cert: Certificate) -> bool:
     """The nested brick (..((w1 cix_1 w2) cix_2 w3) ..) cix_(n-1) wn is
-    minimal with true dimension n - 1."""
-    cur = SymBrick((), _pure_sum([1]))
-    for k in range(2, n + 1):
-        lvl = k - 1
+    minimal with true dimension n - 1: one of cert's last level."""
+    cubes = _cubes(cert.n)
+    cur = cubes[0]
+    for lvl, cube in enumerate(cubes[1:], 1):
         a = rep_at_level(cur, lvl)
-        b = rep_at_level(SymBrick((), _pure_sum([k])), lvl)
-        cur = symbrick_from_rep(cix(lvl, a, b))
-    if true_dim(cur) != n - 1:
+        cur = symbrick_from_rep(cix(lvl, a, rep_at_level(cube, lvl)))
+    if true_dim(cur) != cert.n - 1:
         return False
-    return cur in certificate(n).levels[-1]
+    return cur in cert.levels[-1]

@@ -25,6 +25,7 @@ from .dedekind import (
     enumerate_lattice,
     lattice_count,
     parse_phrase,
+    phrase_alphabet,
     phrase_key,
     render_phrase,
 )
@@ -135,18 +136,20 @@ def _table_text(rows, d_max) -> str:
 
 
 def cmd_maxrank(args) -> int:
+    if args.n is None or args.d is None:
+        raise BrickParseError("maxrank needs N and D")
     if args.table:
-        rows = maxrank_table(args.n_max, args.d_max, allow_big=args.allow_big,
+        if args.d < 2:
+            raise BrickParseError("maxrank --table needs D >= 2")
+        rows = maxrank_table(args.n, args.d, allow_big=args.allow_big,
                              progress=_progress)
         if args.format == "csv":
-            sys.stdout.write(table_to_csv(rows, args.d_max))
+            sys.stdout.write(table_to_csv(rows, args.d))
         elif args.format == "json":
-            sys.stdout.write(table_to_json(rows, args.d_max))
+            sys.stdout.write(table_to_json(rows, args.d))
         else:
-            print(_table_text(rows, args.d_max))
+            print(_table_text(rows, args.d))
         return 0
-    if args.n is None or args.d is None:
-        raise BrickParseError("maxrank needs N and D, or --table")
     value = geometric_maxrank(args.n, args.d, allow_big=args.allow_big,
                               progress=_progress)
     if args.format == "json":
@@ -163,6 +166,8 @@ def cmd_dedekind(args) -> int:
     n = args.n
     if args.dual is not None:
         a = parse_phrase(args.dual)
+        if max(phrase_alphabet(a), default=0) > n:
+            raise PhraseParseError(f"{args.dual!r} uses a letter beyond {n}")
         out = render_phrase(dual(a), n)
         if args.format == "json":
             print(json.dumps({"phrase": render_phrase(a, n), "dual": out}))
@@ -194,7 +199,7 @@ def cmd_certificate(args) -> int:
     path = args.checkpoint or f"certificate_n{args.n}.jsonl"
     cert = certificate(args.n, allow_big=args.allow_big, checkpoint=path,
                        progress=_progress)
-    coeffs = rank_polynomial(args.n, allow_big=True)
+    coeffs = rank_polynomial(cert)
     doc = {
         "n": cert.n,
         "max_true_dim": cert.max_true_dim,
@@ -218,7 +223,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    coeffs = rank_polynomial(args.n, allow_big=args.allow_big)
+    coeffs = rank_polynomial(certificate(args.n, allow_big=args.allow_big))
     text = render_polynomial(coeffs)
     values = []
     for d in range(0, args.d_max + 1):
@@ -276,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", nargs="?", type=_at_least(1), help="proto-set size")
     p.add_argument("d", nargs="?", type=_at_least(1), help="dimension")
     p.add_argument("--table", action="store_true",
-                   help="full table n=1..n-max, d=2..d-max")
-    p.add_argument("--n-max", type=_at_least(1), default=3)
-    p.add_argument("--d-max", type=_at_least(2), default=8)
+                   help="full table n=1..N, d=2..D")
     p.add_argument("--allow-big", action="store_true",
                    help="override the size guard")
     _add_format(p, ("text", "csv", "json"))

@@ -103,6 +103,10 @@ def criterion(num, label):
     return deco
 
 
+# the certificates of n <= 4, each built once for the whole module
+_cert = functools.cache(certificate)
+
+
 # ---------------------------------------------------------------------------
 # 1. worked examples
 
@@ -162,7 +166,7 @@ def test_lattice_sizes():
 @criterion(4, "lattice maxrank rows n <= 4 for d = 0..11, exact")
 def test_lattice_maxrank_table():
     for n, row in TABLE_10B.items():
-        assert [lattice_maxrank(n, d) for d in range(0, 12)] == row, n
+        assert [lattice_maxrank(_cert(n), d) for d in range(0, 12)] == row, n
         assert row[0] == n
         assert row[1] == 2 ** n - 1
         assert row[2] == DEDEKIND[n - 1]
@@ -175,9 +179,9 @@ def test_lattice_maxrank_table():
 @criterion(5, "rank polynomials p_2..p_4 exact; max true dimension = n - 1")
 def test_rank_polynomials_and_certificates():
     for n, coeffs in POLYNOMIALS.items():
-        assert rank_polynomial(n) == coeffs, n
+        assert rank_polynomial(_cert(n)) == coeffs, n
     for n in range(1, 5):
-        assert certificate(n).max_true_dim == n - 1, n
+        assert _cert(n).max_true_dim == n - 1, n
 
 
 @pytest.mark.skipif(not RUN_SLOW, reason="set BRICKRANK_RUN_SLOW=1 to include")
@@ -190,13 +194,13 @@ def test_certificate_n5_opt_in():
         Fraction(48066, 24),
         Fraction(3901, 24),
     )
-    assert rank_polynomial(5, allow_big=True) == coeffs
     cert = certificate(5, allow_big=True)
+    assert rank_polynomial(cert) == coeffs
     assert cert.max_true_dim == 4
     assert len(cert.levels[-1]) == 273540
-    assert lattice_maxrank(5, 3, allow_big=True) == 40517
-    assert lattice_maxrank(5, 4, allow_big=True) == 120614
-    assert lattice_maxrank(5, 5, allow_big=True) == 273540
+    assert lattice_maxrank(cert, 3) == 40517
+    assert lattice_maxrank(cert, 4) == 120614
+    assert lattice_maxrank(cert, 5) == 273540
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,7 @@ def test_certificate_n5_opt_in():
 @criterion(6, "nested combine brick is minimal with true dimension n - 1, n <= 4")
 def test_nested_brick_minimal():
     for n in range(1, 5):
-        assert check_fact_F4(n), n
+        assert check_fact_F4(_cert(n)), n
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ def test_nested_brick_minimal():
 @criterion(7, "archetype placements sum to the level size at every level, n <= 4")
 def test_counting_identity():
     for n in range(1, 5):
-        cert = certificate(n)
+        cert = _cert(n)
         archs = set(archetype_of(b) for b in cert.levels[-1])
         for d, level in enumerate(cert.levels):
             assert sum(placement_count(a, d) for a in archs) == len(level), (n, d)

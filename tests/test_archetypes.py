@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 from itertools import permutations
@@ -7,6 +8,7 @@ import pytest
 from brickrank import archetypes, dedekind
 from brickrank.archetypes import (
     Archetype,
+    Certificate,
     FactViolation,
     SymBrick,
     archetype_of,
@@ -48,6 +50,9 @@ POLYNOMIALS = {
     3: (Fraction(3), Fraction(1, 2), Fraction(7, 2)),
     4: (Fraction(4), Fraction(-56, 3), Fraction(19, 2), Fraction(121, 6)),
 }
+
+# the certificates of n <= 4, each built once for the whole module
+_cert = functools.cache(certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ def test_rep_round_trip():
 
 def test_certificate_level_sizes():
     for n, sizes in LEVEL_SIZES.items():
-        cert = certificate(n)
+        cert = _cert(n)
         assert [len(level) for level in cert.levels] == sizes
         assert cert.max_true_dim == n - 1
 
@@ -149,7 +154,7 @@ def test_n5_levels_match_the_phrase_construction():
     level = archetypes._Run(5).pack(0, oracle[0])
     for d in (1, 2):
         oracle.append(_oracle_next(oracle[-1], d))
-        level = next_minimal_level(level, d)
+        level = next_minimal_level(level)
         assert level.symbricks() == oracle[d]
         assert level.texts() == [render_symbrick(b, d, 5) for b in oracle[d]]
     assert len(oracle[2]) == 7579
@@ -177,7 +182,7 @@ def test_certificate_guard():
 
 def test_certificate_levels_nest_upward():
     # every level-d brick reappears among the level-(d+1) bricks
-    cert = certificate(3)
+    cert = _cert(3)
     for d in range(1, len(cert.levels) - 1):
         assert set(cert.levels[d]) <= set(cert.levels[d + 1])
 
@@ -239,6 +244,14 @@ def test_certificate_resume_of_finished_file_keeps_one_summary(tmp_path):
     assert sum(1 for d in docs if d.get("complete")) == 1
 
 
+def test_summary_names_letters_as_the_level_lines_do(tmp_path):
+    # from n = 5 on, level lines number the letters w1..wn
+    a = Archetype(parse_phrase("w+x"), ((parse_phrase("wx"), 1),))
+    path = tmp_path / "summary.jsonl"
+    archetypes._write_summary(str(path), Certificate(5, (), 1, (a,)))
+    assert json.loads(path.read_text())["archetypes"] == ["[w1+w2; (w1w2)^1]"]
+
+
 def test_certificate_checkpoint_rejects_other_n(tmp_path):
     p = tmp_path / "other.jsonl"
     certificate(2, checkpoint=str(p))
@@ -251,7 +264,7 @@ def test_certificate_checkpoint_rejects_other_n(tmp_path):
 
 
 def test_archetype_extraction_n2():
-    cert = certificate(2)
+    cert = _cert(2)
     names = [render_archetype(a, 2) for a in cert.archetypes]
     assert names == ["[w; ]", "[x; ]", "[w+x; (wx)^1]"]
 
@@ -259,13 +272,13 @@ def test_archetype_extraction_n2():
 def arch_count_table(n: int) -> list[int]:
     """Archetype counts by true dimension 0..n-1."""
     out = [0] * n
-    for a in certificate(n).archetypes:
+    for a in _cert(n).archetypes:
         out[a.tau] += 1
     return out
 
 
 def test_archetype_counts():
-    assert [len(certificate(n).archetypes) for n in (1, 2, 3, 4)] == [1, 3, 11, 115]
+    assert [len(_cert(n).archetypes) for n in (1, 2, 3, 4)] == [1, 3, 11, 115]
     assert arch_count_table(3) == [3, 4, 4]
     assert arch_count_table(4) == [4, 11, 74, 26]
 
@@ -281,14 +294,14 @@ def test_placement_count_multinomial_oracle():
             return 0
         return len(set(permutations(items)))
 
-    cert = certificate(3)
+    cert = _cert(3)
     for a in cert.archetypes:
         for d in range(0, 6):
             assert placement_count(a, d) == oracle(a.parts, d)
 
 
 def test_placement_count_zero_below_tau():
-    cert = certificate(3)
+    cert = _cert(3)
     deep = max(cert.archetypes, key=lambda a: a.tau)
     assert placement_count(deep, deep.tau - 1) == 0
 
@@ -296,7 +309,7 @@ def test_placement_count_zero_below_tau():
 def test_counting_identity_every_level():
     # sum of archetype placements at dimension d = size of level d
     for n in (1, 2, 3, 4):
-        cert = certificate(n)
+        cert = _cert(n)
         archs = [archetype_of(b) for b in cert.levels[-1]]
         uniq = {}
         for a in archs:
@@ -308,12 +321,12 @@ def test_counting_identity_every_level():
 
 def test_lattice_maxrank_table_rows():
     for n in (1, 2, 3):
-        assert [lattice_maxrank(n, d) for d in range(0, 12)] == TABLE_10B[n]
+        assert [lattice_maxrank(_cert(n), d) for d in range(0, 12)] == TABLE_10B[n]
 
 
 def test_lattice_maxrank_errors():
     with pytest.raises(ValueError):
-        lattice_maxrank(2, -1)
+        lattice_maxrank(_cert(2), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +335,7 @@ def test_lattice_maxrank_errors():
 
 def test_rank_polynomial_exact_coefficients():
     for n, coeffs in POLYNOMIALS.items():
-        assert rank_polynomial(n) == coeffs
+        assert rank_polynomial(_cert(n)) == coeffs
 
 
 def test_rank_polynomial_denominators_divide_factorial():
@@ -330,23 +343,23 @@ def test_rank_polynomial_denominators_divide_factorial():
 
     for n in (1, 2, 3, 4):
         fact = math.factorial(n - 1)
-        for c in rank_polynomial(n):
+        for c in rank_polynomial(_cert(n)):
             assert fact % c.denominator == 0
 
 
 def test_polynomial_evaluates_to_table():
     for n in (1, 2, 3):
-        coeffs = rank_polynomial(n)
+        coeffs = rank_polynomial(_cert(n))
         for d in range(0, 12):
             v = sum(c * d**i for i, c in enumerate(coeffs))
             assert v == TABLE_10B[n][d]
 
 
 def test_render_polynomial_frozen():
-    assert render_polynomial(rank_polynomial(1)) == "1"
-    assert render_polynomial(rank_polynomial(2)) == "2 + d"
-    assert render_polynomial(rank_polynomial(3)) == "3 + 1/2*(d + 7*d^2)"
-    assert render_polynomial(rank_polynomial(4)) == (
+    assert render_polynomial(rank_polynomial(_cert(1))) == "1"
+    assert render_polynomial(rank_polynomial(_cert(2))) == "2 + d"
+    assert render_polynomial(rank_polynomial(_cert(3))) == "3 + 1/2*(d + 7*d^2)"
+    assert render_polynomial(rank_polynomial(_cert(4))) == (
         "4 + 1/6*(-112*d + 57*d^2 + 121*d^3)"
     )
 
@@ -354,7 +367,8 @@ def test_render_polynomial_frozen():
 def test_render_polynomial_branches():
     F = Fraction
     assert render_polynomial((F(2), F(0), F(1, 2))) == "2 + 1/2*(d^2)"
-    assert render_polynomial((F(1), F(-1))) == "1 + -d"
+    assert render_polynomial((F(1), F(-1))) == "1 - d"
+    assert render_polynomial((F(0), F(-3))) == "0 - 3*d"
     assert render_polynomial((F(0), F(-1, 2), F(1, 2))) == "0 + 1/2*(-d + d^2)"
     assert render_polynomial((F(5), F(0), F(0))) == "5"
 
@@ -371,13 +385,13 @@ def test_render_polynomial_refuses_other_denominators():
 
 def test_fact_F4_nested_brick():
     for n in (1, 2, 3, 4):
-        assert check_fact_F4(n)
+        assert check_fact_F4(_cert(n))
 
 
 def check_d2_bijection(n: int) -> bool:
     """alpha -> alpha x dual(alpha) maps the whole phrase lattice onto
     the minimal bricks at level 2, one to one."""
-    cert = certificate(n)
+    cert = _cert(n)
     lattice = dedekind.enumerate_lattice(n)
     image = {
         symbrick((alpha, dedekind.dual(alpha))) for alpha in lattice

@@ -314,19 +314,18 @@ def test_maxrank_single_json(capsys):
 
 
 def test_maxrank_table_csv(capsys):
-    code, out, _ = run(capsys, "maxrank", "--table", "--n-max", "2",
-                       "--d-max", "4", "--format", "csv")
+    code, out, _ = run(capsys, "maxrank", "2", "4", "--table",
+                       "--format", "csv")
     assert code == 0
     assert out == "n,d=2,d=3,d=4\n1,1,1,1\n2,4,5,6\n"
 
 
 def test_maxrank_table_text_and_json(capsys):
-    code, out, _ = run(capsys, "maxrank", "--table", "--n-max", "2",
-                       "--d-max", "3")
+    code, out, _ = run(capsys, "maxrank", "2", "3", "--table")
     assert code == 0
     assert out.splitlines()[0].split() == ["n", "d=2", "d=3"]
-    code, out, _ = run(capsys, "maxrank", "--table", "--n-max", "2",
-                       "--d-max", "3", "--format", "json")
+    code, out, _ = run(capsys, "maxrank", "2", "3", "--table",
+                       "--format", "json")
     assert json.loads(out)["rows"][1]["values"] == [4, 5]
 
 
@@ -336,16 +335,35 @@ def test_maxrank_missing_args(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--table"],
+    ["3", "--table"],
+    ["3", "1", "--table"],
+    ["3", "1", "--table", "--format", "json"],
+])
+def test_maxrank_table_needs_its_corner(capsys, argv):
+    # N D name the table's last row and column; columns start at d = 2
+    code, out, err = run(capsys, "maxrank", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_maxrank_table_corner_meets_the_guard(capsys):
+    code, out, err = run(capsys, "maxrank", "5", "3", "--table")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:")
+
+
+@pytest.mark.parametrize("argv", [
     ["maxrank", "0", "2"],
     ["maxrank", "2", "0"],
-    ["maxrank", "--table", "--d-max", "1"],
+    ["maxrank", "2", "0", "--table"],
     ["certificate", "0"],
     ["dedekind", "0"],
     ["poly", "0"],
     ["poly", "two"],
     ["poly", "2", "--d-max", "-1"],
-    ["maxrank", "--table", "--n-max", "0"],
-    ["maxrank", "--table", "--n-max", "0", "--format", "json"],
+    ["maxrank", "0", "3", "--table"],
+    ["maxrank", "0", "3", "--table", "--format", "json"],
 ])
 def test_out_of_range_integer_argument_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -359,7 +377,7 @@ def test_out_of_range_integer_argument_exits_2(capsys, argv):
 OPTIONS = {
     "minimal-set": {"--input", "--format"},
     "tilable": {"--input", "--witness", "--format"},
-    "maxrank": {"--table", "--n-max", "--d-max", "--allow-big", "--format"},
+    "maxrank": {"--table", "--allow-big", "--format"},
     "dedekind": {"--count", "--enumerate", "--dual", "--format"},
     "certificate": {"--output", "--resume", "--allow-big", "--format"},
     "poly": {"--d-max", "--allow-big", "--format"},
@@ -423,6 +441,18 @@ def test_dedekind_dual(capsys):
 def test_dedekind_dual_parse_error(capsys):
     code, _, err = run(capsys, "dedekind", "4", "--dual", "w+")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["3", "--dual", "w9"],
+    ["2", "--dual", "wxyz"],
+    ["2", "--dual", "wxyz", "--format", "json"],
+])
+def test_dedekind_dual_refuses_letters_beyond_n(capsys, argv):
+    # a phrase with a letter above N is not in L[N]
+    code, out, err = run(capsys, "dedekind", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_dedekind_guard(capsys):
@@ -538,6 +568,17 @@ def test_certificate_resume_of_a_bad_level_exits_2(capsys, tmp_path, bricks):
     code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    assert path.read_bytes() == before
+
+
+def test_certificate_resume_of_other_cubes_exits_2(capsys, tmp_path):
+    # a level 0 short of the letter cubes would grow wrong levels
+    path = tmp_path / "n3.jsonl"
+    path.write_text('{"n": 3, "dimension": 0, "bricks": ["(w)", "(x)"]}\n')
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "level 0" in err
     assert path.read_bytes() == before
 
 

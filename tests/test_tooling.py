@@ -79,3 +79,13 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
                           for line in shown)
         assert (cmd, code, re.fullmatch(pattern, out) is not None) == (cmd, 0, True), out
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    """Every python code block of the README runs without an error."""
+    monkeypatch.chdir(tmp_path)
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
