@@ -33,7 +33,6 @@ from .dedekind import (
 )
 from .engine import (
     Brick,
-    BrickAntichain,
     BrickParseError,
     DimensionMismatch,
     GuardExceeded,

@@ -312,8 +312,7 @@ def next_minimal_level(prev: _Level) -> _Level:
                     for s, r in zip(prev.sides, prev.rows))
     last, new = (d - 1) * stride, d * stride
     rows = [r | (r >> last & ones) << new for _, r in ranked]
-    # pruned: the live rows are already the minimal ones
-    rows = _close(d, rows, run.codec.widened(d + 1), True, None, None)
+    rows = _close(d, rows, run.codec.widened(d + 1), None, None)
     return run.level(d, rows)
 
 
@@ -364,6 +363,9 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
         levels = [_cubes(n)]
     # fresh or resumed, the run goes on from its last level, packed
     level = _Run(n).pack(len(levels) - 1, levels[-1])
+    # a well-formed but wrong resumed level would grow wrong levels
+    fail = FactViolation if fresh else CheckpointError
+    _check_counts(levels, level.archetypes(), fail)
     if fresh:
         _write_level(checkpoint, level)
 
@@ -384,9 +386,20 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
                             f"n={n}, counting needs {n - 1}")
     cert = Certificate(n, tuple(levels), level.max_true_dim,
                        level.archetypes())
+    _check_counts(levels, cert.archetypes, fail)
     if checkpoint and not complete:
         _write_summary(checkpoint, cert)
     return cert
+
+
+def _check_counts(levels, archetypes, fail) -> None:
+    """The counting identity, or fail is raised: the size of level d is
+    the sum of placement_count(a, d) over the last level's archetypes."""
+    for d, bricks in enumerate(levels):
+        want = sum(placement_count(a, d) for a in archetypes)
+        if len(bricks) != want:
+            raise fail(f"level {d} holds {len(bricks)} bricks, "
+                       f"its archetypes count {want}")
 
 
 def _write_level(path: str | None, level: _Level) -> None:
@@ -438,7 +451,7 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
             continue
         try:
             doc = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             doc = None
         if not isinstance(doc, dict) and i < len(lines) - 1:
             raise CheckpointError(f"checkpoint {path} has a bad line {i + 1}")
@@ -466,6 +479,8 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
                 f"checkpoint {path}: level {d} has no list of brick texts")
         levels.append(tuple(_checkpoint_brick(path, n, d, t, phrases)
                             for t in texts))
+        if len(set(levels[-1])) < len(texts):
+            raise CheckpointError(f"checkpoint {path}: level {d} repeats a brick")
     if levels and levels[0] != _cubes(n):
         raise CheckpointError(
             f"checkpoint {path}: level 0 is not the {n} letter cubes")

@@ -78,7 +78,8 @@ def _read_bricks(inline, path):
                 texts.extend(
                     line.strip() for line in body.splitlines() if line.strip()
                 )
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:
             raise BrickParseError(f"cannot read {path}: {e}") from None
     if not texts:
         raise BrickParseError("no bricks given (arguments or --input)")
@@ -90,14 +91,14 @@ def cmd_minimal_set(args) -> int:
     M = minimal_set(protos)
     if args.format == "json":
         doc = {
-            "minimal": [render_brick(b) for b in M.bricks],
-            "rank": len(M.bricks),
+            "minimal": [render_brick(b) for b in M],
+            "rank": len(M),
         }
         print(json.dumps(doc, indent=2))
     else:
-        for b in M.bricks:
+        for b in M:
             print(render_brick(b))
-        print(f"rank {len(M.bricks)}")
+        print(f"rank {len(M)}")
     return 0
 
 

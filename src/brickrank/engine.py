@@ -30,10 +30,9 @@ bit-slicing), so finding the live rows that divide a candidate, or that
 it divides, takes one OR or AND per irreducible bit of its side codes.
 With the trace on, each new row records the live row and the input it
 came from, so a derivation trace (needed to rebuild explicit tilings)
-comes from the same run.  Mid-closure pruning (dropping any brick
-another brick divides) is on by default and does not change the
-minimal set, because combines are monotone in each argument; pass
-prune=False to minimal_set, ext_dir or ext_all to cross-check.
+comes from the same run.  The closure drops every brick another brick
+divides as it goes, which leaves the minimal set unchanged because
+combines are monotone in each argument; so its live rows are M(P).
 minimal_elements runs the same sliced test on rows of the same codec; a
 set is an antichain exactly when minimal_elements gives it back.
 
@@ -42,8 +41,8 @@ element of a distributive lattice is a lattice homomorphism, so
 psi_T(b) = (b_1 v T_1, ..., b_d v T_d) commutes with cix in every
 direction and Cl(psi_T P) = psi_T(Cl P).  A brick c divides T exactly
 when psi_T(c) = T, so T is tilable exactly when T lies in Cl(psi_T P),
-whose least element T then is.  decide closes the lifted protos, always
-pruned, one direction at a time under a codec built over T and them (a
+whose least element T then is.  decide closes the lifted protos one
+direction at a time under a codec built over T and them (a
 lifted exponent never drops below T's, so fewer tests tell them apart)
 and stops once T's row is live; a proto that divides T answers before
 any codec.
@@ -73,7 +72,6 @@ from .dedekind import Phrase, parse_phrase, phrase_key, render_phrase
 
 __all__ = [
     "Brick",
-    "BrickAntichain",
     "BrickParseError",
     "DimensionMismatch",
     "GuardExceeded",
@@ -493,71 +491,57 @@ class _Slices:
 # ---------------------------------------------------------------------------
 # the closure
 
-# cap on the bricks a closure may hold at once, checked after each step;
-# mostly relevant with prune=False, where the held set is not an antichain
+# cap on the live bricks of a closure, an antichain, checked after each step
 _CLOSURE_CAP = 5_000_000
 
 
-def _close(delta, rows, codec, prune, derived, inputs):
-    """Close distinct rows under cix in direction delta, adding one input
-    at a time.
+def _close(delta, rows, codec, derived, inputs):
+    """The minimal rows of the closure of distinct rows under cix in
+    direction delta, adding one input at a time.
 
     cix in a fixed direction is commutative, associative and idempotent,
     so adding an input b to the closure C of the inputs before it gives
-    C + b + cix(C, b), and with pruning, by monotonicity, the minimal
-    elements of live + b + cix(live, b).  Each step is one block of
+    C + b + cix(C, b), and by monotonicity the minimal elements of that
+    are those of live + b + cix(live, b).  Each step is one block of
     candidates.  Before any subset test, a live row m is skipped when m
     divides cix(m, b) (m_delta within b_delta) or b does (b_delta within
     m_delta).  The rest are deduped and taken in turn: one that a live
     row divides is rejected, any other evicts the live rows it divides
     and goes live.  The live rows are sliced again, in order, once
-    evicted slots outnumber them.  Without pruning every row not held yet
-    is kept.  Returns the live rows.  When derived is a list, each kept
-    row c = cix(m, b) not in inputs is appended to it as (delta, c, m, b).
+    evicted slots outnumber them.  Returns the live rows.  When derived
+    is a list, each kept row c = cix(m, b) not in inputs is appended to
+    it as (delta, c, m, b).
     """
     other = ~codec.side_mask(delta)
-    live = _Slices(codec, rows[:1]) if prune else rows[:1]
-    held = set(rows[:1])  # every row of live, without pruning
+    live = _Slices(codec, rows[:1])
     for b in rows[1:]:
-        if prune:
-            if live.below(b):
-                continue  # a live row divides b, and so every cix(m, b)
-            side = (live.by_side[delta - 1],)
-            par = live.alive & ~live.below(b, side) & ~live.above(b, side)
-            par = [live.rows[s] for s in _bits(par)]
-        elif b in held:
-            continue  # the closure already holds b and cix(live, b)
-        else:
-            par = live
+        if live.below(b):
+            continue  # a live row divides b, and so every cix(m, b)
+        side = (live.by_side[delta - 1],)
+        par = live.alive & ~live.below(b, side) & ~live.above(b, side)
+        par = [live.rows[s] for s in _bits(par)]
         # b leads the block, so row i > 0 is cix(par[i - 1], b)
         bm, bo = b | other, b & other
         block = [b] + [m & bm | bo for m in par]
-        if prune:
-            slots = {}  # the last occurrence of each distinct row, in order
-            for i in dict(zip(block, range(len(block)))).values():
-                # b is first, and no live row divides it
-                if not (i and live.below(block[i])):
-                    live.alive &= ~live.above(block[i])
-                    slots[i] = live.add(block[i])
-            pick = [i for i, s in slots.items() if live.alive >> s & 1]
-            size = live.alive.bit_count()
-            if 2 * size < len(live.rows):
-                live = _Slices(codec, live.live())
-        else:
-            fresh = {c: i for i, c in enumerate(block) if c not in held}
-            held.update(fresh)
-            pick = list(fresh.values())
-            live.extend(block[i] for i in pick)
-            size = len(live)
+        slots = {}  # the last occurrence of each distinct row, in order
+        for i in dict(zip(block, range(len(block)))).values():
+            # b is first, and no live row divides it
+            if not (i and live.below(block[i])):
+                live.alive &= ~live.above(block[i])
+                slots[i] = live.add(block[i])
+        pick = [i for i, s in slots.items() if live.alive >> s & 1]
+        size = live.alive.bit_count()
+        if 2 * size < len(live.rows):
+            live = _Slices(codec, live.live())
         if size > _CLOSURE_CAP:
             raise GuardExceeded("closure exceeded the size cap")
         if derived is not None:
             derived.extend((delta, block[i], par[i - 1], b) for i in pick
                            if i and block[i] not in inputs)
-    return live.live() if prune else live
+    return live.live()
 
 
-def _closed(bricks, delta, prune, trace, progress):
+def _closed(bricks, delta, trace, progress):
     """Close a non-empty proto-set of one shape under cix in direction
     delta, or in every direction in turn when delta is None, on packed
     rows under one codec: the side codes of the inputs are closed under
@@ -573,7 +557,7 @@ def _closed(bricks, delta, prune, trace, progress):
     derived = [] if trace is not None else None
     inputs = set(rows) if trace is not None else None
     for delta in range(1, d + 1) if delta is None else (delta,):
-        rows = _close(delta, rows, codec, prune, derived, inputs)
+        rows = _close(delta, rows, codec, derived, inputs)
         if trace is not None:
             inputs.update(rows)
         if progress is not None:
@@ -585,83 +569,56 @@ def _closed(bricks, delta, prune, trace, progress):
     return codec, rows
 
 
-def _closure(bricks, delta, prune, trace):
+def _closure(bricks, delta, trace):
     """The bricks of _closed, in canonical order."""
-    codec, rows = _closed(bricks, delta, prune, trace, None)
+    codec, rows = _closed(bricks, delta, trace, None)
     return sorted(map(codec.decode, rows), key=brick_sort_key)
 
 
-def ext_dir(delta: int, bricks, prune: bool = True, trace: dict | None = None):
-    """Close a proto-set under cix in one direction: exactly the combines
-    of its non-void subsets (minus pruned non-minimal ones when prune is
-    on).  Returns bricks in canonical order."""
-    return _closure(bricks, delta, prune, trace)
+def ext_dir(delta: int, bricks, trace: dict | None = None):
+    """Close a proto-set under cix in one direction: the minimal ones
+    among the combines of its non-void subsets, in canonical order."""
+    return _closure(bricks, delta, trace)
 
 
-def ext_all(bricks, prune: bool = True, trace: dict | None = None):
+def ext_all(bricks, trace: dict | None = None):
     """One closure pass per direction, in order.  The direction operators
     commute and are idempotent, so a single sweep reaches the fixpoint."""
-    return _closure(bricks, None, prune, trace)
+    return _closure(bricks, None, trace)
 
 
 # ---------------------------------------------------------------------------
 # antichains, minimal sets, tilability
 
 
-@dataclass(frozen=True)
-class BrickAntichain:
-    """Bricks pairwise incomparable under divisibility, canonical order."""
-
-    bricks: tuple[Brick, ...]
-
-    def __iter__(self):
-        return iter(self.bricks)
-
-    def __len__(self) -> int:
-        return len(self.bricks)
-
-    def find_divisor(self, target: Brick) -> Brick | None:
-        for m in self.bricks:
-            if brick_divides(m, target):
-                return m
-        return None
-
-
-def minimal_elements(bricks) -> BrickAntichain:
+def minimal_elements(bricks) -> tuple[Brick, ...]:
     """The bricks of S no other brick of S strictly divides, in canonical
     order: those whose row no other row lies within."""
     _, bl = _canonical(bricks, "minimal_elements of an empty set")
     codec = _BrickCodec(bl)
     rows = codec.rows(bl)
     below = _Slices(codec, rows).below
-    return BrickAntichain(tuple(b for s, (b, row) in enumerate(zip(bl, rows))
-                                if below(row) == 1 << s))
+    return tuple(b for s, (b, row) in enumerate(zip(bl, rows))
+                 if below(row) == 1 << s)
 
 
-def minimal_set(bricks, prune: bool = True,
-                trace: dict | None = None) -> BrickAntichain:
-    """The minimal tilable set M(P): divisibility-minimal elements of the
-    full combine closure.  Finite, an antichain, and the complete
-    tilability criterion for P."""
-    closed = ext_all(bricks, prune=prune, trace=trace)
-    if not prune:
-        return minimal_elements(closed)
-    # a pruned closure is already the antichain of its minimal elements,
-    # in canonical order
-    return BrickAntichain(tuple(closed))
+def minimal_set(bricks, trace: dict | None = None) -> tuple[Brick, ...]:
+    """The minimal tilable set M(P) in canonical order: the minimal
+    elements of the full combine closure, which are the bricks the closure
+    keeps live.  Finite, an antichain, and the complete tilability
+    criterion for P."""
+    return tuple(ext_all(bricks, trace=trace))
 
 
 def rank(bricks, progress=None) -> int:
     """|M(P)|: the number of minimal tilable bricks of the proto-set,
-    counted on the pruned closure's rows without decoding any."""
-    return len(_closed(bricks, None, True, None, progress)[1])
+    counted on the closure's rows without decoding any."""
+    return len(_closed(bricks, None, None, progress)[1])
 
 
-def is_tilable(target: Brick, minimal: BrickAntichain) -> bool:
+def is_tilable(target: Brick, minimal) -> bool:
     """Signed-tilability decision: some minimal brick divides the target."""
-    if minimal.bricks:
-        _check_same_shape((target,) + minimal.bricks)
-    return minimal.find_divisor(target) is not None
+    return any(brick_divides(m, target) for m in minimal)
 
 
 def decide(target: Brick, protos) -> bool:
@@ -671,8 +628,7 @@ def decide(target: Brick, protos) -> bool:
     psi_T(b) = b v T side by side commutes with every cix, so the closure
     of psi_T(P) is psi_T of the closure of P, and c divides T exactly when
     psi_T(c) = T.  T, the least element of that closure, is in it exactly
-    when T is tilable, and is then its only minimal row.  The closure
-    always prunes; minimal_set(P, prune=False) is the unpruned cross-check.
+    when T is tilable, and is then its only minimal row.
     """
     bl = list(protos)
     if not bl:
@@ -696,7 +652,7 @@ def decide(target: Brick, protos) -> bool:
     codec = _BrickCodec([target] + lifted)
     goal, *rows = codec.rows([target] + lifted)
     for delta in range(1, d + 1):
-        rows = _close(delta, rows, codec, True, None, None)
+        rows = _close(delta, rows, codec, None, None)
         if goal in rows:
             return True
     return False

@@ -282,7 +282,8 @@ def tile_witness(protoset: list[Brick], target: Brick) -> TilingWitness | None:
     protos = tuple(dict.fromkeys(protoset))
     _check_sizes((target, *protos))
     trace: dict[Brick, tuple[int, Brick, Brick]] = {}
-    m = minimal_set(protos, trace=trace).find_divisor(target)
+    m = next((m for m in minimal_set(protos, trace=trace)
+              if brick_divides(m, target)), None)
     return None if m is None else _witness(protos, trace, m, target)
 
 

@@ -23,7 +23,6 @@ from brickrank import (
     cix,
     dual,
     enumerate_lattice,
-    ext_dir,
     gcd_nat,
     geometric_maxrank,
     is_tilable,
@@ -48,6 +47,7 @@ from brickrank.archetypes import archetype_of
 from brickrank.numlat import divides_nat
 from brickrank.witness import Placement, TilingWitness
 from test_dedekind import monotone_count_oracle
+from test_engine import unpruned_ext_dir, unpruned_minimal_set
 
 RUN_SLOW = os.environ.get("BRICKRANK_RUN_SLOW", "").lower() in {
     "1", "true", "yes", "on",
@@ -116,13 +116,13 @@ def test_worked_examples():
     t0 = time.perf_counter()
     M1 = minimal_set(FIG1)
     assert rank(FIG1) == 1
-    assert M1.bricks == (brick(1, 1),)
+    assert M1 == (brick(1, 1),)
     assert time.perf_counter() - t0 < 1.0
 
     t0 = time.perf_counter()
     MR = minimal_set(ROTATION)
     assert rank(ROTATION) == 15
-    assert [render_brick(b) for b in MR.bricks] == ROTATION_MINIMAL
+    assert [render_brick(b) for b in MR] == ROTATION_MINIMAL
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -318,10 +318,10 @@ def test_property_suites():
     # one-direction closures commute and are idempotent
     for _ in range(30):
         P = _random_bricks(rng, 4, 2, 30)
-        once = ext_dir(1, P, prune=False)
-        assert set(ext_dir(1, once, prune=False)) == set(once)
-        ab = ext_dir(2, ext_dir(1, P, prune=False), prune=False)
-        ba = ext_dir(1, ext_dir(2, P, prune=False), prune=False)
+        once = unpruned_ext_dir(1, P)
+        assert set(unpruned_ext_dir(1, once)) == set(once)
+        ab = unpruned_ext_dir(2, unpruned_ext_dir(1, P))
+        ba = unpruned_ext_dir(1, unpruned_ext_dir(2, P))
         assert set(ab) == set(ba)
 
     # absorption fails in three dimensions, on the record example
@@ -338,13 +338,13 @@ def test_property_suites():
         fixtures.append(_random_bricks(rng, rng.randrange(1, 5), d, 30))
     for P in fixtures:
         M = minimal_set(P)
-        assert minimal_elements(M).bricks == M.bricks
-        for x, z in combinations(M.bricks, 2):
+        assert minimal_elements(M) == M
+        for x, z in combinations(M, 2):
             assert not brick_divides(x, z) and not brick_divides(z, x)
         for p in P:
-            assert M.find_divisor(p) is not None
+            assert is_tilable(p, M)
         # pruning during closure never changes the answer
-        assert minimal_set(P, prune=False).bricks == M.bricks
+        assert unpruned_minimal_set(P) == M
 
     # in one dimension, tilability is exactly divisibility by the gcd
     for _ in range(1000):

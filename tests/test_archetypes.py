@@ -115,7 +115,7 @@ def _oracle_key(b):
 
 def _oracle_next(prev, d):
     out = []
-    for rep in ext_dir(d, [rep_at_level(b, d) for b in prev], prune=True):
+    for rep in ext_dir(d, [rep_at_level(b, d) for b in prev]):
         b = symbrick_from_rep(rep)
         assert is_balanced(b)
         out.append(b)
@@ -250,6 +250,26 @@ def test_summary_names_letters_as_the_level_lines_do(tmp_path):
     path = tmp_path / "summary.jsonl"
     archetypes._write_summary(str(path), Certificate(5, (), 1, (a,)))
     assert json.loads(path.read_text())["archetypes"] == ["[w1+w2; (w1w2)^1]"]
+
+
+def test_certificate_drops_a_deeply_nested_last_line(tmp_path):
+    path = tmp_path / "cut.jsonl"
+    cert = certificate(3, checkpoint=str(path))
+    text = path.read_text()
+    head = "".join(text.splitlines(keepends=True)[:2])
+    path.write_text(head + "[" * 200_000 + "\n")
+    resumed = certificate(3, checkpoint=str(path))
+    assert resumed.levels == cert.levels
+    assert path.read_text() == text
+
+
+def test_fresh_certificate_checks_the_counting_identity(monkeypatch):
+    # level 0 still counts right, so the check at the end is the one to fire
+    count = archetypes.placement_count
+    monkeypatch.setattr(archetypes, "placement_count",
+                        lambda a, d: count(a, d) + (d > 0))
+    with pytest.raises(FactViolation, match="level 1 holds 3 bricks"):
+        certificate(2)
 
 
 def test_certificate_checkpoint_rejects_other_n(tmp_path):

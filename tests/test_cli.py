@@ -93,13 +93,21 @@ def test_minimal_set_malformed_json_input(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_minimal_set_deeply_nested_json_input_exits_2(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200_000)
+    code, out, err = run(capsys, "minimal-set", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read")
+
+
 def test_minimal_set_symbolic(capsys):
     code, out, _ = run(capsys, "minimal-set", "(w)x(w)", "(x)x(x)")
     assert code == 0
     assert "(wx)x(w+x)" in out.splitlines()
 
 
-def test_minimal_set_no_prune_closure_cap_exits_3(capsys, monkeypatch):
+def test_minimal_set_closure_cap_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
     code, out, err = run(capsys, "minimal-set", "2x3x7", "3x7x2", "7x2x3")
     assert (code, out) == (3, "")
@@ -568,6 +576,52 @@ def test_certificate_resume_of_a_bad_level_exits_2(capsys, tmp_path, bricks):
     code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    assert path.read_bytes() == before
+
+
+def _duplicate_level_1_brick(docs):
+    docs[1]["bricks"].append(docs[1]["bricks"][0])
+    return docs
+
+
+def _cut_level_1_to_5(docs):
+    docs[1]["bricks"] = docs[1]["bricks"][:5]
+    return docs[:3]
+
+
+def _drop_last_level_2_brick(docs):
+    docs[2]["bricks"].pop()
+    return docs[:3]
+
+
+# well-formed levels that would grow wrong ones: levels 3 8 18 36, 3 5 18 36
+# and 3 7 17 35 with exit 0 (true: 3 7 18 36)
+@pytest.mark.parametrize("corrupt, kept", [
+    (_duplicate_level_1_brick, True),
+    (_cut_level_1_to_5, True),
+    (_drop_last_level_2_brick, False),  # caught once level 3 is appended
+], ids=["duplicate", "short-level-1", "short-level-2"])
+def test_certificate_resume_of_wrong_levels_exits_2(capsys, tmp_path,
+                                                    corrupt, kept):
+    path = tmp_path / "n3.jsonl"
+    assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
+    docs = corrupt([json.loads(line) for line in path.read_text().splitlines()])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert "error: " in err
+    assert path.read_bytes() == before or not kept
+
+
+def test_certificate_resume_of_deeply_nested_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "n3.jsonl"
+    assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
+    path.write_text("[" * 200_000 + "\n" + path.read_text())
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "bad line 1" in err
     assert path.read_bytes() == before
 
 

@@ -64,6 +64,40 @@ def _subset_ext_oracle(delta, bricks):
     return out
 
 
+def _unpruned(bricks, deltas):
+    """The closure of a proto-set under cix in each of deltas in turn,
+    with no pruning, on the engine's rows: adding an input b to the
+    closure C of the inputs before it gives C + b + cix(C, b).  Returns
+    every brick of it in canonical order."""
+    bl = sorted(set(bricks), key=brick_sort_key)
+    codec = _BrickCodec(bl)
+    rows = codec.rows(bl)
+    for delta in deltas:
+        mask = codec.side_mask(delta)
+        held = dict.fromkeys(rows[:1])
+        for b in rows[1:]:
+            if b not in held:  # else held has cix(held, b) already
+                held.update(dict.fromkeys(
+                    [b] + [m & b | (m | b) & ~mask for m in held]))
+        rows = list(held)
+    return sorted(map(codec.decode, rows), key=brick_sort_key)
+
+
+def unpruned_ext_dir(delta, bricks):
+    """Every combine of a non-void subset of the bricks in direction
+    delta: ext_dir before pruning."""
+    return _unpruned(bricks, (delta,))
+
+
+def unpruned_ext_all(bricks):
+    return _unpruned(bricks, range(1, bricks[0].dim + 1))
+
+
+def unpruned_minimal_set(bricks):
+    """M(P) as the minimal elements of the unpruned closure."""
+    return minimal_elements(unpruned_ext_all(bricks))
+
+
 # ---------------------------------------------------------------------------
 # construction and text format
 
@@ -256,12 +290,12 @@ def test_ext_dir_matches_subset_oracle():
         d = rng.randrange(1, 4)
         P = _random_bricks(rng, rng.randrange(1, 6), d, 40)
         delta = rng.randrange(1, d + 1)
-        got = set(ext_dir(delta, P, prune=False))
+        got = set(unpruned_ext_dir(delta, P))
         assert got == _subset_ext_oracle(delta, P)
 
 
 def test_ext_dir_contains_displayed_combs():
-    got = set(ext_dir(1, FIG1, prune=False))
+    got = set(unpruned_ext_dir(1, FIG1))
     for text in ["1x24", "1x40", "1x15", "1x120", "25x3", "9x8", "16x5"]:
         assert parse_brick(text) in got
 
@@ -272,8 +306,8 @@ def test_ext_dir_singleton_and_idempotence():
     rng = random.Random(38)
     for _ in range(30):
         P = _random_bricks(rng, 4, 2, 30)
-        once = ext_dir(1, P, prune=False)
-        again = ext_dir(1, once, prune=False)
+        once = unpruned_ext_dir(1, P)
+        again = unpruned_ext_dir(1, once)
         assert set(once) == set(again)
 
 
@@ -281,13 +315,13 @@ def test_ext_dir_operators_commute():
     rng = random.Random(39)
     for _ in range(30):
         P = _random_bricks(rng, 4, 2, 30)
-        ab = ext_dir(2, ext_dir(1, P, prune=False), prune=False)
-        ba = ext_dir(1, ext_dir(2, P, prune=False), prune=False)
+        ab = unpruned_ext_dir(2, unpruned_ext_dir(1, P))
+        ba = unpruned_ext_dir(1, unpruned_ext_dir(2, P))
         assert set(ab) == set(ba)
 
 
 def test_ext_all_reaches_unit_square():
-    assert brick(1, 1) in set(ext_all(FIG2, prune=False))
+    assert brick(1, 1) in set(unpruned_ext_all(FIG2))
 
 
 def test_ext_all_direction_order_irrelevant():
@@ -299,8 +333,8 @@ def test_ext_all_direction_order_irrelevant():
         for order in permutations(range(1, 4)):
             s = list(P)
             for delta in order:
-                s = ext_dir(delta, s, prune=False)
-            results.append(set(minimal_elements(s).bricks))
+                s = unpruned_ext_dir(delta, s)
+            results.append(set(minimal_elements(s)))
         assert all(r == results[0] for r in results)
 
 
@@ -335,10 +369,10 @@ def test_minimal_set_matches_reference_closure():
     rng = random.Random(41)
     for _ in range(10):
         P = _random_bricks(rng, 5, 2, 60)
-        assert minimal_set(P).bricks == _reference_minimal_set(P)
+        assert minimal_set(P) == _reference_minimal_set(P)
     for _ in range(10):
         P = _random_symbolic_bricks(rng, rng.randrange(2, 4), 2)
-        assert minimal_set(P).bricks == _reference_minimal_set(P)
+        assert minimal_set(P) == _reference_minimal_set(P)
 
 
 def _assert_trace_sound(P):
@@ -365,12 +399,11 @@ def _assert_trace_sound(P):
     for delta in range(1, P[0].dim + 1):
         # a pass records no entry for its own inputs, not even on a closed
         # input set, where every combine it makes is one of them
-        closed = ext_dir(delta, P, prune=False)
+        closed = unpruned_ext_dir(delta, P)
         for inputs in (P, closed):
-            for prune in (True, False):
-                one = {}
-                ext_dir(delta, inputs, prune=prune, trace=one)
-                assert not set(inputs) & set(one)
+            one = {}
+            ext_dir(delta, inputs, trace=one)
+            assert not set(inputs) & set(one)
 
 
 def test_trace_derivations_are_sound_and_acyclic():
@@ -392,16 +425,16 @@ def test_ext_dir_agrees_across_prune_and_trace():
     for P in sets:
         for delta in range(1, P[0].dim + 1):
             pruned = ext_dir(delta, P)
-            full = ext_dir(delta, P, prune=False)
+            full = unpruned_ext_dir(delta, P)
             assert pruned == list(minimal_elements(full))
             assert ext_dir(delta, P, trace={}) == pruned
-            assert ext_dir(delta, P, prune=False, trace={}) == full
 
 
-def test_closure_cap_without_pruning(monkeypatch):
+def test_closure_cap(monkeypatch):
+    # the live set grows past 10 on its way to the 15 minimal bricks
     monkeypatch.setattr(brickrank.engine, "_CLOSURE_CAP", 10)
     with pytest.raises(GuardExceeded):
-        minimal_set(ROTATION, prune=False)
+        minimal_set(ROTATION)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +495,7 @@ def test_codec_is_a_lattice_embedding(bricks):
 def test_codec_width_counts_exponents_not_their_size():
     bricks = [brick("2^1000000", 1), brick(3, 1)]
     assert _BrickCodec(bricks).stride == 2
-    assert minimal_set(bricks).bricks == (brick(1, 1),)
+    assert minimal_set(bricks) == (brick(1, 1),)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -479,30 +512,21 @@ def test_codec_merges_tests_the_same_values_pass():
     assert [codec.decode(r) for r in codec.rows(bricks)] == bricks
 
 
-def _pairwise_close(delta, rows, mask, prune, inputs):
+def _pairwise_close(delta, rows, mask, inputs):
     """_close by plain pairwise subset tests on the whole block: the live
     rows, and each kept row's (delta, c, m, b) with m the last live row
     whose combine with b gave c."""
     live, derived = rows[:1], []
     for b in rows[1:]:
-        if prune:
-            if any(m & ~b == 0 for m in live):
-                continue
-            par = [m for m in live if m & mask & ~b and b & mask & ~m]
-        elif b in live:
+        if any(m & ~b == 0 for m in live):
             continue
-        else:
-            par = list(live)
+        par = [m for m in live if m & mask & ~b and b & mask & ~m]
         last = {}
         for i, c in enumerate([b] + [m & b | (m | b) & ~mask for m in par]):
             last[c] = i
-        if prune:
-            new = [c for c in last if not any(m & ~c == 0 for m in live)
-                   and not any(o & ~c == 0 and o != c for o in last)]
-            live = [m for m in live if not any(c & ~m == 0 for c in new)]
-        else:
-            new = [c for c in last if c not in live]
-        live = live + new
+        new = [c for c in last if not any(m & ~c == 0 for m in live)
+               and not any(o & ~c == 0 and o != c for o in last)]
+        live = [m for m in live if not any(c & ~m == 0 for c in new)] + new
         derived += [(delta, c, par[last[c] - 1], b) for c in new
                     if last[c] and c not in inputs]
     return live, derived
@@ -526,12 +550,11 @@ def test_close_matches_pairwise_reference(monkeypatch):
         codec = _BrickCodec(bricks)
         rows = codec.rows(bricks)
         rng.shuffle(rows)
-        for prune in (True, False):
-            for delta in range(1, codec.dim + 1):
-                derived = []
-                got = _close(delta, rows, codec, prune, derived, set(rows))
-                assert (got, derived) == _pairwise_close(
-                    delta, rows, codec.side_mask(delta), prune, set(rows))
+        for delta in range(1, codec.dim + 1):
+            derived = []
+            got = _close(delta, rows, codec, derived, set(rows))
+            assert (got, derived) == _pairwise_close(
+                delta, rows, codec.side_mask(delta), set(rows))
     # some closures sliced their live rows again after evictions
     assert sum(n > 1 for n in sliced) >= 10
 
@@ -554,11 +577,10 @@ def test_increasing_letter_renames_commute():
             P = _random_phrase_bricks(rng, rng.randint(2, 4), d, letters)
             wide = [_rename(b, spread) for b in P]
             targets = [_random_phrase_bricks(rng, 1, d, letters + 1)[0],
-                       rng.choice(minimal_set(P).bricks)]
-            for prune in (True, False):
-                got = minimal_set(wide, prune=prune).bricks
-                assert got == tuple(_rename(b, spread)
-                                    for b in minimal_set(P, prune=prune))
+                       rng.choice(minimal_set(P))]
+            for close in (minimal_set, unpruned_minimal_set):
+                assert close(wide) == tuple(_rename(b, spread)
+                                            for b in close(P))
             for T in targets:
                 assert decide(_rename(T, spread), wide) == decide(T, P)
 
@@ -571,7 +593,7 @@ def test_far_letters_answer_as_their_two_letter_renames(far):
     near = [brick("(x)", "(w)"), brick("(w)", "(x)")]
     P = [_rename(b, grow) for b in near]
     M = minimal_set(P)
-    assert M.bricks == tuple(_rename(b, grow) for b in minimal_set(near))
+    assert M == tuple(_rename(b, grow) for b in minimal_set(near))
     assert len(M) == 4
     square = brick("(w)", "(w)")
     assert decide(square, P) == decide(square, near) is False
@@ -595,20 +617,20 @@ def test_codec_refuses_too_many_letters():
 
 def test_minimal_elements_examples():
     got = minimal_elements([brick(3, 8), brick(9, 8)])
-    assert got.bricks == (brick(3, 8),)
+    assert got == (brick(3, 8),)
     anti = [brick(2, 3), brick(3, 2)]
-    assert set(minimal_elements(anti).bricks) == set(anti)
+    assert set(minimal_elements(anti)) == set(anti)
 
 
 def test_minimal_set_fig1():
     M = minimal_set(FIG1)
-    assert M.bricks == (brick(1, 1),)
+    assert M == (brick(1, 1),)
     assert rank(FIG1) == 1
 
 
 def test_minimal_set_rotation_example():
     M = minimal_set(ROTATION)
-    assert [render_brick(b) for b in M.bricks] == ROTATION_MINIMAL
+    assert [render_brick(b) for b in M] == ROTATION_MINIMAL
     assert rank(ROTATION) == 15
 
 
@@ -638,10 +660,8 @@ def test_rank_refuses_empty_and_mixed_sets():
 
 
 @pytest.mark.parametrize("close", [
-    functools.partial(ext_dir, 1), ext_all, minimal_set,
-    functools.partial(minimal_set, prune=False), minimal_elements],
-    ids=["ext_dir", "ext_all", "minimal_set", "minimal_set_unpruned",
-         "minimal_elements"])
+    functools.partial(ext_dir, 1), ext_all, minimal_set, minimal_elements],
+    ids=["ext_dir", "ext_all", "minimal_set", "minimal_elements"])
 def test_closures_refuse_empty_and_mixed_lattices(close):
     with pytest.raises(ValueError):
         close([])
@@ -665,7 +685,7 @@ def test_geometric_maxrank_decodes_no_brick(monkeypatch):
 
 
 def test_minimal_set_singleton():
-    assert minimal_set([brick(5, 5)]).bricks == (brick(5, 5),)
+    assert minimal_set([brick(5, 5)]) == (brick(5, 5),)
 
 
 def test_minimal_set_antichain_and_covering_invariants():
@@ -674,12 +694,12 @@ def test_minimal_set_antichain_and_covering_invariants():
         d = rng.randrange(1, 4)
         P = _random_bricks(rng, rng.randrange(1, 5), d, 30)
         M = minimal_set(P)
-        assert minimal_elements(M).bricks == M.bricks
-        for a, b in combinations(M.bricks, 2):
+        assert minimal_elements(M) == M
+        for a, b in combinations(M, 2):
             assert not brick_divides(a, b) and not brick_divides(b, a)
         # every proto sits above some minimal brick
         for p in P:
-            assert M.find_divisor(p) is not None
+            assert is_tilable(p, M)
 
 
 def test_prune_no_prune_equivalence():
@@ -689,7 +709,7 @@ def test_prune_no_prune_equivalence():
         d = rng.randrange(1, 4)
         fixtures.append(_random_bricks(rng, rng.randrange(1, 5), d, 30))
     for P in fixtures:
-        assert minimal_set(P, prune=True).bricks == minimal_set(P, prune=False).bricks
+        assert minimal_set(P) == unpruned_minimal_set(P)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +721,7 @@ def test_is_tilable_examples():
     assert is_tilable(brick(3, 1), M2)
     M1 = minimal_set(FIG1)
     assert is_tilable(brick(34, 11), M1)
-    for m in minimal_set(ROTATION).bricks:
+    for m in minimal_set(ROTATION):
         assert is_tilable(m, minimal_set(ROTATION))
 
 
@@ -743,7 +763,7 @@ def _decide_cases():
     for d in range(1, 5):
         for _ in range(6):
             P = _decide_nat_bricks(rng, rng.randint(2, 4), d)
-            m = rng.choice(minimal_set(P).bricks)
+            m = rng.choice(minimal_set(P))
             up = _decide_nat_bricks(rng, 1, d)[0]
             grown = Brick(tuple(map(lcm_nat, m.sides, up.sides)))
             yield _decide_nat_bricks(rng, 1, d)[0], P
@@ -759,7 +779,7 @@ def _decide_cases():
         for _ in range(4):
             d = rng.randint(1, 3)
             P = _random_phrase_bricks(rng, rng.randint(2, 4), d, letters)
-            m = rng.choice(minimal_set(P).bricks)
+            m = rng.choice(minimal_set(P))
             wide = letters + 2
             yield _random_phrase_bricks(rng, 1, d, letters)[0], P
             yield _random_phrase_bricks(rng, 1, d, wide)[0], P
@@ -772,7 +792,7 @@ def _decide_cases():
 def test_decide_matches_minimal_set():
     outcomes = set()
     for target, P in _decide_cases():
-        want = is_tilable(target, minimal_set(P, prune=False))
+        want = is_tilable(target, unpruned_minimal_set(P))
         assert is_tilable(target, minimal_set(P)) == want, (target, P)
         assert decide(target, P) == want, (target, P)
         divided = any(brick_divides(p, target) for p in P)
@@ -812,4 +832,4 @@ def test_antichain_membership_and_dimension_guard():
 
 def test_minimal_elements_tells_an_antichain():
     # M is an antichain exactly when minimal_elements gives M back
-    assert minimal_elements([brick(9, 8), brick(3, 8)]).bricks == (brick(3, 8),)
+    assert minimal_elements([brick(9, 8), brick(3, 8)]) == (brick(3, 8),)
