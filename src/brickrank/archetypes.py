@@ -287,14 +287,16 @@ class _Level:
         """The distinct archetypes of the level, in order of true
         dimension, envelope, then parts, each by phrase_key."""
         d, rank, phrase = self.d, self.run.rank, self.run.phrase
-        seen = set()
-        for s, k in zip(self.sides, self.cut):
-            env, counts = s[d], {}
-            for c in s[:k]:
-                if c != env:
-                    counts[c] = counts.get(c, 0) + 1
+        # each row's envelope and the sorted prefix sides that differ from it
+        kinds = {(s[d], tuple(sorted(c for c in s[:k] if c != s[d])))
+                 for s, k in zip(self.sides, self.cut)}
+        seen = []
+        for env, others in kinds:
+            counts = {}
+            for c in others:
+                counts[c] = counts.get(c, 0) + 1
             parts = tuple(sorted((rank[c], c, r) for c, r in counts.items()))
-            seen.add((sum(counts.values()), rank[env], env, parts))
+            seen.append((len(others), rank[env], env, parts))
         return tuple(Archetype(phrase[env],
                                tuple((phrase[c], r) for _, c, r in parts))
                      for _, _, env, parts in sorted(seen))
@@ -365,7 +367,7 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
     level = _Run(n).pack(len(levels) - 1, levels[-1])
     # a well-formed but wrong resumed level would grow wrong levels
     fail = FactViolation if fresh else CheckpointError
-    _check_counts(levels, level.archetypes(), fail)
+    archetypes = _check_counts(levels, level, fail)
     if fresh:
         _write_level(checkpoint, level)
 
@@ -379,27 +381,30 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
         if progress is not None:
             progress(f"level {level.d}: {len(level.rows)} minimal bricks")
         levels.append(level.symbricks())
+        # a wrong resumed level shows here, before its growth is appended
+        archetypes = _check_counts(levels, level, fail)
         _write_level(checkpoint, level)
 
     if level.max_true_dim != n - 1:
         raise FactViolation(f"top true dimension {level.max_true_dim} for "
                             f"n={n}, counting needs {n - 1}")
-    cert = Certificate(n, tuple(levels), level.max_true_dim,
-                       level.archetypes())
-    _check_counts(levels, cert.archetypes, fail)
+    cert = Certificate(n, tuple(levels), level.max_true_dim, archetypes)
     if checkpoint and not complete:
         _write_summary(checkpoint, cert)
     return cert
 
 
-def _check_counts(levels, archetypes, fail) -> None:
-    """The counting identity, or fail is raised: the size of level d is
-    the sum of placement_count(a, d) over the last level's archetypes."""
+def _check_counts(levels, level: _Level, fail) -> tuple["Archetype", ...]:
+    """The archetypes of level, the last of levels, after checking the
+    counting identity or raising fail: the size of each level d is the
+    sum of placement_count(a, d) over those archetypes."""
+    archetypes = level.archetypes()
     for d, bricks in enumerate(levels):
         want = sum(placement_count(a, d) for a in archetypes)
         if len(bricks) != want:
             raise fail(f"level {d} holds {len(bricks)} bricks, "
                        f"its archetypes count {want}")
+    return archetypes
 
 
 def _write_level(path: str | None, level: _Level) -> None:

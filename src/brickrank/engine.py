@@ -24,16 +24,18 @@ rows and decodes none.
 One closure engine computes the fixpoint.  It encodes each brick once
 and runs every direction on the rows.  In a fixed direction cix is
 commutative, associative and idempotent, so the closure grows one input
-at a time: each input is combined with every live row.  The live rows
-are bit-sliced, one int per row bit with a bit per row (Biham's
-bit-slicing), so finding the live rows that divide a candidate, or that
-it divides, takes one OR or AND per irreducible bit of its side codes.
+at a time: each input is combined with every live row.  While the live
+set has held at most _SLICE_AT rows, each divisibility test is one AND
+per row.  Past that the rows are bit-sliced, one int per row bit with a
+bit per row (Biham's bit-slicing), so finding the live rows that divide
+a candidate, or that it divides, takes one OR or AND per irreducible
+bit of its side codes.
 With the trace on, each new row records the live row and the input it
 came from, so a derivation trace (needed to rebuild explicit tilings)
 comes from the same run.  The closure drops every brick another brick
 divides as it goes, which leaves the minimal set unchanged because
 combines are monotone in each argument; so its live rows are M(P).
-minimal_elements runs the same sliced test on rows of the same codec; a
+minimal_elements runs the same tests on rows of the same codec; a
 set is an antichain exactly when minimal_elements gives it back.
 
 One tilability decision needs less than M(P).  Joining with a fixed
@@ -45,7 +47,10 @@ whose least element T then is.  decide closes the lifted protos one
 direction at a time under a codec built over T and them (a
 lifted exponent never drops below T's, so fewer tests tell them apart)
 and stops once T's row is live; a proto that divides T answers before
-any codec.
+any codec.  Every closure row is a lattice term in the lifted rows, so
+it lies above their meet, the AND of their rows; the closure's meet is
+that same meet, so when it is not T's row the answer is no before any
+closure.
 """
 
 from __future__ import annotations
@@ -443,46 +448,83 @@ class _BrickCodec:
         return self.ones << (delta - 1) * self.stride
 
 
+# the most slots a _Slices tests row by row; past it the rows are sliced
+_SLICE_AT = 12
+
+
 class _Slices:
-    """Rows of one codec, bit-sliced by slot: bit s of cols[i][k] says
-    whether the row in slot s has bit k of side i, and alive marks the
-    slots still held."""
+    """Rows of one codec in slots, with alive marking the slots still
+    held.  Up to _SLICE_AT slots each test scans the rows one by one;
+    once the slot count passes it the rows are bit-sliced by slot: bit s
+    of cols[i][k] says whether the row in slot s has bit k of side i.
+    Both ways give the same slot masks."""
 
     def __init__(self, codec: _BrickCodec, rows=()):
-        self.codec, self.rows, self.alive = codec, [], 0
-        self.cols = [[0] * codec.stride for _ in range(codec.dim)]
-        self.by_side = [(cols, i * codec.stride)
-                        for i, cols in enumerate(self.cols)]
+        self.codec, self.rows, self.alive, self.cols = codec, [], 0, None
         for row in rows:
             self.add(row)
 
     def add(self, row: int) -> int:
         """Hold row in a new slot, and return the slot."""
         s = len(self.rows)
-        bit = 1 << s
         self.rows.append(row)
-        self.alive |= bit
-        bits = self.codec.bits
-        for cols, code in zip(self.cols, self.codec.sides(row)):
+        self.alive |= 1 << s
+        if self.cols is not None:
+            self._slice_row(s)
+        elif s == _SLICE_AT:
+            self._slice()
+        return s
+
+    def _slice(self) -> None:
+        """Build the columns, from the live slots."""
+        codec = self.codec
+        self.cols = [[0] * codec.stride for _ in range(codec.dim)]
+        sides = [(cols, i * codec.stride) for i, cols in enumerate(self.cols)]
+        # delta -> (cols, offset) of side delta, or of every side
+        self.by_side = {None: sides}
+        self.by_side.update((i, [c]) for i, c in enumerate(sides, 1))
+        for s in _bits(self.alive):
+            self._slice_row(s)
+
+    def _slice_row(self, s: int) -> None:
+        bit, bits = 1 << s, self.codec.bits
+        for cols, code in zip(self.cols, self.codec.sides(self.rows[s])):
             for k in bits(code):
                 cols[k] |= bit
-        return s
 
     def live(self) -> list[int]:
         return [self.rows[s] for s in _bits(self.alive)]
 
-    def below(self, row: int, sides=None) -> int:
-        """The live slots whose rows divide row, on the given sides."""
+    def below(self, row: int, delta: int | None = None) -> int:
+        """The live slots whose rows divide row, on side delta or all."""
+        if self.cols is None:
+            out = ~row
+            if delta is not None:
+                out &= self.codec.side_mask(delta)
+            hit = 0
+            for s, r in enumerate(self.rows):
+                if not r & out:
+                    hit |= 1 << s
+            return self.alive & hit
         probe, ones, miss = self.codec.probe, self.codec.ones, 0
-        for cols, at in sides or self.by_side:
+        for cols, at in self.by_side[delta]:
             for k in probe(row >> at & ones)[1]:
                 miss |= cols[k]
         return self.alive & ~miss
 
-    def above(self, row: int, sides=None) -> int:
-        """The live slots whose rows row divides, on the given sides."""
+    def above(self, row: int, delta: int | None = None) -> int:
+        """The live slots whose rows row divides, on side delta or all."""
+        if self.cols is None:
+            need = row
+            if delta is not None:
+                need &= self.codec.side_mask(delta)
+            hit = 0
+            for s, r in enumerate(self.rows):
+                if not need & ~r:
+                    hit |= 1 << s
+            return self.alive & hit
         probe, ones, hit = self.codec.probe, self.codec.ones, self.alive
-        for cols, at in sides or self.by_side:
+        for cols, at in self.by_side[delta]:
             for k in probe(row >> at & ones)[0]:
                 hit &= cols[k]
         return hit
@@ -517,8 +559,7 @@ def _close(delta, rows, codec, derived, inputs):
     for b in rows[1:]:
         if live.below(b):
             continue  # a live row divides b, and so every cix(m, b)
-        side = (live.by_side[delta - 1],)
-        par = live.alive & ~live.below(b, side) & ~live.above(b, side)
+        par = live.alive & ~live.below(b, delta) & ~live.above(b, delta)
         par = [live.rows[s] for s in _bits(par)]
         # b leads the block, so row i > 0 is cix(par[i - 1], b)
         bm, bo = b | other, b & other
@@ -628,7 +669,9 @@ def decide(target: Brick, protos) -> bool:
     psi_T(b) = b v T side by side commutes with every cix, so the closure
     of psi_T(P) is psi_T of the closure of P, and c divides T exactly when
     psi_T(c) = T.  T, the least element of that closure, is in it exactly
-    when T is tilable, and is then its only minimal row.
+    when T is tilable, and is then its only minimal row.  Every row of
+    the closure lies above the meet of the lifted protos, and T below it,
+    so T is out of reach unless that meet is T.
     """
     bl = list(protos)
     if not bl:
@@ -651,6 +694,8 @@ def decide(target: Brick, protos) -> bool:
         return True  # a proto divides the target
     codec = _BrickCodec([target] + lifted)
     goal, *rows = codec.rows([target] + lifted)
+    if functools.reduce(int.__and__, rows) != goal:
+        return False  # every closure row lies above the lifted protos' meet
     for delta in range(1, d + 1):
         rows = _close(delta, rows, codec, None, None)
         if goal in rows:

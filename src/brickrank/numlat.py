@@ -149,6 +149,15 @@ class FactoredNat:
 ONE = FactoredNat(())
 
 
+def _trial_divisors():
+    """2, 3, 5, then every integer from 7 on prime to 30 (a wheel mod
+    30): each prime in increasing order, among 8 of every 30 integers."""
+    yield from (2, 3, 5)
+    for base in count(0, 30):
+        for r in (7, 11, 13, 17, 19, 23, 29, 31):
+            yield base + r
+
+
 def nat(k: int) -> FactoredNat:
     """Factor a plain int (trial division; k <= 10**12)."""
     if k < 1:
@@ -160,7 +169,7 @@ def nat(k: int) -> FactoredNat:
         )
     pairs = []
     rem = k
-    for p in count(2):
+    for p in _trial_divisors():
         if p * p > rem:
             break
         if rem % p == 0:

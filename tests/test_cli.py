@@ -595,14 +595,17 @@ def _drop_last_level_2_brick(docs):
 
 
 # well-formed levels that would grow wrong ones: levels 3 8 18 36, 3 5 18 36
-# and 3 7 17 35 with exit 0 (true: 3 7 18 36)
-@pytest.mark.parametrize("corrupt, kept", [
-    (_duplicate_level_1_brick, True),
-    (_cut_level_1_to_5, True),
-    (_drop_last_level_2_brick, False),  # caught once level 3 is appended
+# and 3 7 17 35 with exit 0 (true: 3 7 18 36); each is refused before any
+# level is appended
+@pytest.mark.parametrize("corrupt, error", [
+    (_duplicate_level_1_brick, "level 1 repeats a brick"),
+    (_cut_level_1_to_5, "level 1 holds 5 bricks, its archetypes count 7"),
+    # caught once level 3 is grown
+    (_drop_last_level_2_brick,
+     "level 2 holds 17 bricks, its archetypes count 18"),
 ], ids=["duplicate", "short-level-1", "short-level-2"])
 def test_certificate_resume_of_wrong_levels_exits_2(capsys, tmp_path,
-                                                    corrupt, kept):
+                                                    corrupt, error):
     path = tmp_path / "n3.jsonl"
     assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
     docs = corrupt([json.loads(line) for line in path.read_text().splitlines()])
@@ -610,8 +613,8 @@ def test_certificate_resume_of_wrong_levels_exits_2(capsys, tmp_path,
     before = path.read_bytes()
     code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
     assert (code, out) == (2, "")
-    assert "error: " in err
-    assert path.read_bytes() == before or not kept
+    assert "error: " in err and error in err
+    assert path.read_bytes() == before
 
 
 def test_certificate_resume_of_deeply_nested_line_exits_2(capsys, tmp_path):

@@ -34,7 +34,7 @@ from brickrank.engine import (
     rank,
     render_brick,
 )
-from brickrank.engine import _BrickCodec, _Slices, _close
+from brickrank.engine import _SLICE_AT, _BrickCodec, _Slices, _close
 from brickrank.maxrank import geometric_maxrank, worst_protoset
 from brickrank.numlat import FactoredNat, lcm_nat, nat
 
@@ -492,6 +492,42 @@ def test_codec_is_a_lattice_embedding(bricks):
             assert codec.decode(packed) == cix(delta, a, b)
 
 
+@pytest.mark.parametrize("count", [3, _SLICE_AT, _SLICE_AT + 1, 40])
+@pytest.mark.parametrize("lattice", ["nat", "phrase"])
+def test_slices_match_a_row_scan(lattice, count):
+    """below and above give the masks of a plain scan of the live rows,
+    on every side and on each side alone, before and after slicing."""
+    rng = random.Random(count)
+    d = 3
+    bricks = (_random_factored_bricks(rng, count, d) if lattice == "nat"
+              else _random_phrase_bricks(rng, count, d, 4))
+    codec = _BrickCodec(bricks)
+    rows = codec.rows(bricks)
+    # queries from the sublattice the rows generate
+    queries = rows + [a & b for a, b in combinations(rows, 2)]
+    queries += [a | b for a, b in combinations(rows, 2)]
+
+    def check(live):
+        for q in rng.sample(queries, 6):
+            for delta in (None, *range(1, d + 1)):
+                mask = -1 if delta is None else codec.side_mask(delta)
+                held = [(s, r) for s, r in enumerate(live.rows)
+                        if live.alive >> s & 1]
+                assert live.below(q, delta) == sum(
+                    1 << s for s, r in held if not r & ~q & mask)
+                assert live.above(q, delta) == sum(
+                    1 << s for s, r in held if not q & ~r & mask)
+
+    live = _Slices(codec)
+    for row in rows:
+        live.add(row)
+        if rng.random() < 0.3:  # some slots go before and after slicing
+            live.alive &= ~(1 << rng.randrange(len(live.rows)))
+        check(live)
+    assert (live.cols is not None) == (count > _SLICE_AT)
+    check(_Slices(codec, rows))
+
+
 def test_codec_width_counts_exponents_not_their_size():
     bricks = [brick("2^1000000", 1), brick(3, 1)]
     assert _BrickCodec(bricks).stride == 2
@@ -787,20 +823,58 @@ def _decide_cases():
             yield Brick(tuple(map(phrase_join, m.sides, up.sides))), P
     yield brick("(w5)", "(w)"), [brick("(w)", "(w)")]
     yield brick("(w+w5)", "(x)"), [brick("(w)", "(x)"), brick("(x)", "(w)")]
+    # minimal bricks of larger sets, whose closures outgrow row-by-row tests
+    for _ in range(3):
+        P = _decide_nat_bricks(rng, 8, 2)
+        yield rng.choice(minimal_set(P)), P
 
 
-def test_decide_matches_minimal_set():
+def test_decide_matches_minimal_set(monkeypatch):
+    seen = {}
+
+    class Codec(_BrickCodec):
+        def __init__(self, bricks):
+            seen["codec"] = True
+            super().__init__(bricks)
+
+    class Slices(_Slices):
+        def add(self, row):
+            s = super().add(row)
+            if self.cols is not None:
+                seen["sliced"] = True
+            return s
+
+    def close(*args):
+        seen["closed"] = True
+        return _close(*args)
+
     outcomes = set()
     for target, P in _decide_cases():
         want = is_tilable(target, unpruned_minimal_set(P))
         assert is_tilable(target, minimal_set(P)) == want, (target, P)
-        assert decide(target, P) == want, (target, P)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(brickrank.engine, "_BrickCodec", Codec)
+            m.setattr(brickrank.engine, "_Slices", Slices)
+            m.setattr(brickrank.engine, "_close", close)
+            assert decide(target, P) == want, (target, P)
         divided = any(brick_divides(p, target) for p in P)
-        outcomes.add((lattice_of(target).name, want, divided))
-    # both answers, and positives that need a closure, in both lattices
+        name = lattice_of(target).name
+        outcomes.add((name, want, divided))
+        if not want:
+            # a codec and no closure: the meet bound refuted; no codec:
+            # some side of the target has no word over the protos' letters
+            outcomes.add((name, "refuted by", "closure" if "closed" in seen
+                          else "meet" if "codec" in seen else "letters"))
+        if "sliced" in seen:
+            outcomes.add((name, "sliced"))
+    # both answers, and positives that need a closure, in both lattices;
+    # refutations by the meet bound and by a closure, and closures whose
+    # live rows were sliced
     for name in ("nat", "phrase"):
         assert {(name, True, False), (name, False, False),
-                (name, True, True)} <= outcomes
+                (name, True, True), (name, "refuted by", "meet"),
+                (name, "refuted by", "closure"), (name, "sliced")} <= outcomes
 
 
 def test_decide_dividing_proto_starts_no_closure(monkeypatch):
@@ -812,6 +886,18 @@ def test_decide_dividing_proto_starts_no_closure(monkeypatch):
     assert decide(brick("(w+x)", "(x)"), [brick("(w)", "(x)")])
     with pytest.raises(AssertionError):
         decide(brick(3, 1), FIG2)
+
+
+def test_decide_meet_bound_starts_no_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(brickrank.engine, "_close", refuse)
+    # lifted by 3x1: 6x1 and 12x1, whose meet 6x1 is not 3x1
+    assert not decide(brick(3, 1), [brick(2, 1), brick(4, 1)])
+    # lifted by (w)x(x): (w+x)x(x) and (w+x)x(w+x)
+    assert not decide(brick("(w)", "(x)"),
+                      [brick("(x)", "(x)"), brick("(x)", "(w)")])
 
 
 def test_decide_mixed_shapes_raise():

@@ -26,6 +26,34 @@ def test_nat_small_values():
     assert int(nat(720)) == 720
 
 
+def _factor_by_every_integer(k):
+    """Trial division by 2, 3, 4, ... up to the square root."""
+    pairs, p = [], 2
+    while p * p <= k:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+        p += 1
+    return tuple(pairs) + (((k, 1),) if k > 1 else ())
+
+
+def test_nat_wheel_matches_plain_trial_division():
+    for k in range(1, 20_000):
+        assert nat(k).factors == _factor_by_every_integer(k), k
+
+
+@pytest.mark.parametrize("k, factors", [
+    (999_999_999_989, ((999_999_999_989, 1),)),  # the largest 12-digit prime
+    (999_983 ** 2, ((999_983, 2),)),
+    (999_979 * 999_983, ((999_979, 1), (999_983, 1))),
+])
+def test_nat_factors_near_the_bound(k, factors):
+    assert nat(k).factors == factors
+
+
 def test_nat_rejects_nonpositive_and_huge():
     with pytest.raises(ValueError):
         nat(0)
