@@ -41,7 +41,7 @@ from .engine import (
     parse_brick,
     render_brick,
 )
-from .maxrank import geometric_maxrank, maxrank_table, table_to_csv, table_to_json
+from .maxrank import geometric_maxrank, maxrank_table
 from .numlat import ParseError
 from .witness import tile_witness, witness_to_json
 
@@ -86,19 +86,23 @@ def _read_bricks(inline, path):
     return [parse_brick(t) for t in texts]
 
 
+def _emit(args, doc, text, csv=None) -> None:
+    """Print one result in the chosen format: the document as JSON
+    (indented when it nests), the CSV rows, or the text view."""
+    if args.format == "json":
+        nested = any(isinstance(v, (list, dict)) for v in doc.values())
+        print(json.dumps(doc, indent=2 if nested else None))
+    elif args.format == "csv":
+        print("\n".join(",".join(str(cell) for cell in row) for row in csv))
+    else:
+        print(text)
+
+
 def cmd_minimal_set(args) -> int:
     protos = _read_bricks(args.bricks, args.input)
-    M = minimal_set(protos)
-    if args.format == "json":
-        doc = {
-            "minimal": [render_brick(b) for b in M],
-            "rank": len(M),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for b in M:
-            print(render_brick(b))
-        print(f"rank {len(M)}")
+    M = [render_brick(b) for b in minimal_set(protos)]
+    _emit(args, {"minimal": M, "rank": len(M)},
+          "\n".join(M + [f"rank {len(M)}"]))
     return 0
 
 
@@ -115,51 +119,32 @@ def cmd_tilable(args) -> int:
         if ok:
             sys.stdout.write(witness_to_json(tile_witness(protos, target)))
             return 0
-    if args.format == "json":
-        print(json.dumps({"tilable": ok}))
-    else:
-        print("yes" if ok else "no")
+    _emit(args, {"tilable": ok}, "yes" if ok else "no")
     return 0 if ok else 1
 
 
-def _table_text(rows, d_max) -> str:
-    header = ["n"] + [f"d={d}" for d in range(2, d_max + 1)]
-    body = [[str(n + 1)] + [str(v) for v in row] for n, row in enumerate(rows)]
-    widths = [
-        max(len(line[j]) for line in [header] + body)
-        for j in range(len(header))
-    ]
-    lines = [
-        "  ".join(cell.rjust(w) for cell, w in zip(line, widths))
-        for line in [header] + body
-    ]
-    return "\n".join(lines)
-
-
 def cmd_maxrank(args) -> int:
-    if args.n is None or args.d is None:
+    n, d = args.n, args.d
+    if n is None or d is None:
         raise BrickParseError("maxrank needs N and D")
-    if args.table:
-        if args.d < 2:
-            raise BrickParseError("maxrank --table needs D >= 2")
-        rows = maxrank_table(args.n, args.d, allow_big=args.allow_big,
-                             progress=_progress)
-        if args.format == "csv":
-            sys.stdout.write(table_to_csv(rows, args.d))
-        elif args.format == "json":
-            sys.stdout.write(table_to_json(rows, args.d))
-        else:
-            print(_table_text(rows, args.d))
+    if not args.table:
+        value = geometric_maxrank(n, d, allow_big=args.allow_big,
+                                  progress=_progress)
+        doc = {"n": n, "d": d, "maxrank": value}
+        _emit(args, doc, value, [list(doc), list(doc.values())])
         return 0
-    value = geometric_maxrank(args.n, args.d, allow_big=args.allow_big,
-                              progress=_progress)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "d": args.d, "maxrank": value}))
-    elif args.format == "csv":
-        print("n,d,maxrank")
-        print(f"{args.n},{args.d},{value}")
-    else:
-        print(value)
+    if d < 2:
+        raise BrickParseError("maxrank --table needs D >= 2")
+    rows = maxrank_table(n, d, allow_big=args.allow_big, progress=_progress)
+    cells = [["n"] + [f"d={dd}" for dd in range(2, d + 1)]]
+    cells += [[nn, *row] for nn, row in enumerate(rows, start=1)]
+    lines = [[str(cell) for cell in row] for row in cells]
+    widths = [max(map(len, col)) for col in zip(*lines)]
+    text = "\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, widths))
+                     for line in lines)
+    doc = {"columns": list(range(2, d + 1)),
+           "rows": [{"n": nn, "values": values} for nn, *values in cells[1:]]}
+    _emit(args, doc, text, cells)
     return 0
 
 
@@ -169,30 +154,17 @@ def cmd_dedekind(args) -> int:
         a = parse_phrase(args.dual)
         if max(phrase_alphabet(a), default=0) > n:
             raise PhraseParseError(f"{args.dual!r} uses a letter beyond {n}")
-        out = render_phrase(dual(a), n)
-        if args.format == "json":
-            print(json.dumps({"phrase": render_phrase(a, n), "dual": out}))
-        else:
-            print(out)
-        return 0
-    if args.enumerate:
-        phrases = sorted(enumerate_lattice(n), key=phrase_key)
-        if args.format == "json":
-            doc = {
-                "n": n,
-                "count": len(phrases),
-                "phrases": [render_phrase(a, n) for a in phrases],
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            for a in phrases:
-                print(render_phrase(a, n))
-        return 0
-    count = lattice_count(n)
-    if args.format == "json":
-        print(json.dumps({"n": n, "count": count}))
+        text = render_phrase(dual(a), n)
+        doc = {"phrase": render_phrase(a, n), "dual": text}
+    elif args.enumerate:
+        phrases = [render_phrase(a, n)
+                   for a in sorted(enumerate_lattice(n), key=phrase_key)]
+        doc = {"n": n, "count": len(phrases), "phrases": phrases}
+        text = "\n".join(phrases)
     else:
-        print(count)
+        count = lattice_count(n)
+        doc, text = {"n": n, "count": count}, count
+    _emit(args, doc, text)
     return 0
 
 
@@ -200,26 +172,20 @@ def cmd_certificate(args) -> int:
     path = args.checkpoint or f"certificate_n{args.n}.jsonl"
     cert = certificate(args.n, allow_big=args.allow_big, checkpoint=path,
                        progress=_progress)
-    coeffs = rank_polynomial(cert)
     doc = {
         "n": cert.n,
         "max_true_dim": cert.max_true_dim,
         "levels": [len(level) for level in cert.levels],
         "members": len(cert.levels[-1]),
         "archetypes": [render_archetype(a, cert.n) for a in cert.archetypes],
-        "polynomial": render_polynomial(coeffs),
+        "polynomial": render_polynomial(rank_polynomial(cert)),
         "checkpoint": path,
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"n {cert.n}")
-        print(f"max true dimension {cert.max_true_dim}")
-        print("levels " + " ".join(str(len(level)) for level in cert.levels))
-        print(f"members {len(cert.levels[-1])}")
-        print(f"archetypes {len(cert.archetypes)}")
-        print(f"polynomial {doc['polynomial']}")
-        print(f"checkpoint {path}")
+    shown = {**doc, "levels": " ".join(str(k) for k in doc["levels"]),
+             "archetypes": len(cert.archetypes)}
+    labels = {"max_true_dim": "max true dimension"}
+    _emit(args, doc, "\n".join(f"{labels.get(key, key)} {value}"
+                               for key, value in shown.items()))
     return 0
 
 
@@ -230,20 +196,14 @@ def cmd_poly(args) -> int:
     for d in range(0, args.d_max + 1):
         v = sum(c * d**i for i, c in enumerate(coeffs))
         values.append(int(v) if v.denominator == 1 else v)
-    if args.format == "json":
-        doc = {
-            "n": args.n,
-            "polynomial": text,
-            "coefficients": [str(c) for c in coeffs],
-            "values": {str(d): str(v) for d, v in enumerate(values)},
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("d," + ",".join(str(d) for d in range(0, args.d_max + 1)))
-        print(f"p_{args.n}," + ",".join(str(v) for v in values))
-    else:
-        print(text)
-        print(" ".join(str(v) for v in values))
+    doc = {
+        "n": args.n,
+        "polynomial": text,
+        "coefficients": [str(c) for c in coeffs],
+        "values": {str(d): str(v) for d, v in enumerate(values)},
+    }
+    _emit(args, doc, text + "\n" + " ".join(str(v) for v in values),
+          [["d", *range(0, args.d_max + 1)], [f"p_{args.n}", *values]])
     return 0
 
 

@@ -12,7 +12,6 @@ d = 1 column is constant 1 because one gcd cube divides everything.
 from __future__ import annotations
 
 from itertools import permutations
-import json
 
 from .engine import Brick, GuardExceeded, rank
 from .numlat import FactoredNat, first_primes
@@ -22,8 +21,6 @@ __all__ = [
     "worst_protoset",
     "geometric_maxrank",
     "maxrank_table",
-    "table_to_csv",
-    "table_to_json",
 ]
 
 
@@ -91,18 +88,3 @@ def maxrank_table(n_max: int, d_max: int, allow_big: bool = False,
         rows.append(row)
     return rows
 
-
-def table_to_csv(rows: list[list[int]], d_max: int) -> str:
-    header = "n," + ",".join(f"d={d}" for d in range(2, d_max + 1))
-    lines = [header]
-    for i, row in enumerate(rows, start=1):
-        lines.append(f"{i}," + ",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def table_to_json(rows: list[list[int]], d_max: int) -> str:
-    doc = {
-        "columns": list(range(2, d_max + 1)),
-        "rows": [{"n": i, "values": row} for i, row in enumerate(rows, start=1)],
-    }
-    return json.dumps(doc, indent=2) + "\n"

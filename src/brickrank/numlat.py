@@ -234,19 +234,23 @@ _FACTOR_RE = re.compile(r"^([1-9][0-9]*)\^([1-9][0-9]*)$")
 
 def parse_nat(text: str) -> FactoredNat:
     """Parse a nat literal, decimal or factored."""
-    m = _DECIMAL_RE.match(text)
-    if m:
-        k = int(text)
-        if k < 1:
+    if _DECIMAL_RE.match(text):
+        if text == "0":
             raise ParseError(f"not a positive integer: {text!r}")
-        try:
-            return nat(k)
-        except ValueError as e:
-            raise ParseError(str(e)) from None
+        # the length test comes first: int() refuses over 4,300 digits
+        if (len(text) > len(str(_DECIMAL_BOUND))
+                or (k := int(text)) > _DECIMAL_BOUND):
+            raise ParseError(f"decimal literal exceeds the factorization "
+                             f"bound {_DECIMAL_BOUND}; write it in factored "
+                             f"form p^e*... in {text!r}")
+        return nat(k)
     parts = [_FACTOR_RE.match(part) for part in text.split("*")]
     if not all(parts):
         raise ParseError(f"malformed nat literal: {text!r}")
-    pairs = [(int(m[1]), int(m[2])) for m in parts]
+    try:
+        pairs = [(int(m[1]), int(m[2])) for m in parts]
+    except ValueError:  # a base or exponent of over 4,300 digits
+        raise ParseError(f"number too long in {text!r}") from None
     if any(p >= q for (p, _), (q, _) in zip(pairs, pairs[1:])):
         raise ParseError(f"primes must strictly increase: {text!r}")
     try:

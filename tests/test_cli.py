@@ -142,6 +142,16 @@ def test_minimal_set_parse_error(capsys):
     assert "error" in err
 
 
+def test_decimal_literal_above_the_bound_exits_2(capsys):
+    code, out, err = run(capsys, "minimal-set", "1000000000001")
+    assert (code, out) == (2, "")
+    assert err == ("error: decimal literal exceeds the factorization bound "
+                   "1000000000000; write it in factored form p^e*... "
+                   "in '1000000000001'\n")
+    assert run(capsys, "minimal-set", "1000000000000")[:2] == (
+        0, "1000000000000\nrank 1\n")
+
+
 def test_minimal_set_empty(capsys):
     code, _, err = run(capsys, "minimal-set")
     assert code == 2
@@ -494,9 +504,53 @@ def test_pseudoprime_base_exits_2(capsys):
             assert err.startswith(f"error: base {big} is too large")
 
 
-def test_outputs_pinned(capsys):
+CERTIFICATE_3_JSON = """{
+  "n": 3,
+  "max_true_dim": 2,
+  "levels": [
+    3,
+    7,
+    18,
+    36
+  ],
+  "members": 36,
+  "archetypes": [
+    "[w; ]",
+    "[x; ]",
+    "[y; ]",
+    "[w+x; (wx)^1]",
+    "[w+y; (wy)^1]",
+    "[x+y; (xy)^1]",
+    "[w+x+y; (wxy)^1]",
+    "[w+x+y; (w+xy)^1, (wx+wy)^1]",
+    "[w+x+y; (x+wy)^1, (wx+xy)^1]",
+    "[w+x+y; (y+wx)^1, (wy+xy)^1]",
+    "[w+x+y; (wx+wy+xy)^2]"
+  ],
+  "polynomial": "3 + 1/2*(d + 7*d^2)",
+  "checkpoint": "PATH"
+}
+"""
+
+
+def test_outputs_pinned(capsys, tmp_path):
+    """The exact bytes of every view, so a change of layout shows."""
     for argv, want in [
+        (("minimal-set", "2x3", "3x2", "--format", "json"),
+         '{\n  "minimal": [\n    "1x6",\n    "2x3",\n    "3x2",\n'
+         '    "6x1"\n  ],\n  "rank": 4\n}\n'),
+        (("maxrank", "2", "3", "--format", "json"),
+         '{"n": 2, "d": 3, "maxrank": 5}\n'),
         (("maxrank", "3", "4", "--format", "csv"), "n,d,maxrank\n3,4,61\n"),
+        (("maxrank", "2", "3", "--table"),
+         "n  d=2  d=3\n1    1    1\n2    4    5\n"),
+        (("maxrank", "2", "3", "--table", "--format", "json"),
+         '{\n  "columns": [\n    2,\n    3\n  ],\n  "rows": [\n    {\n'
+         '      "n": 1,\n      "values": [\n        1,\n        1\n      ]\n'
+         '    },\n    {\n      "n": 2,\n      "values": [\n        4,\n'
+         '        5\n      ]\n    }\n  ]\n}\n'),
+        (("dedekind", "3", "--format", "json"), '{"n": 3, "count": 18}\n'),
+        (("dedekind", "2", "--enumerate"), "w\nx\nwx\nw+x\n"),
         (("dedekind", "3", "--dual", "w+xy", "--format", "json"),
          '{"phrase": "w+xy", "dual": "wx+wy"}\n'),
         (("dedekind", "5", "--dual", "w+xy", "--format", "json"),
@@ -504,8 +558,61 @@ def test_outputs_pinned(capsys):
         (("dedekind", "2", "--enumerate", "--format", "json"),
          '{\n  "n": 2,\n  "count": 4,\n  "phrases": [\n    "w",\n'
          '    "x",\n    "wx",\n    "w+x"\n  ]\n}\n'),
+        (("poly", "3", "--format", "csv"),
+         "d,0,1,2,3,4,5,6,7,8,9,10,11\n"
+         "p_3,3,7,18,36,61,93,132,178,231,291,358,432\n"),
+        (("poly", "3", "--format", "json"),
+         '{\n  "n": 3,\n  "polynomial": "3 + 1/2*(d + 7*d^2)",\n'
+         '  "coefficients": [\n    "3",\n    "1/2",\n    "7/2"\n  ],\n'
+         '  "values": {\n    "0": "3",\n    "1": "7",\n    "2": "18",\n'
+         '    "3": "36",\n    "4": "61",\n    "5": "93",\n    "6": "132",\n'
+         '    "7": "178",\n    "8": "231",\n    "9": "291",\n'
+         '    "10": "358",\n    "11": "432"\n  }\n}\n'),
     ]:
         assert run(capsys, *argv)[:2] == (0, want), argv
+    for argv, want in [
+        (("tilable", "3x1", "3x8", "4x5", "7x3", "--format", "json"),
+         (0, '{"tilable": true}\n')),
+        (("tilable", "2x2", "3x1", "--format", "json"),
+         (1, '{"tilable": false}\n')),
+    ]:
+        assert run(capsys, *argv)[:2] == want, argv
+    path = str(tmp_path / "n3.jsonl")
+    code, out, _ = run(capsys, "certificate", "3", "--output", path,
+                       "--format", "json")
+    assert (code, out.replace(path, "PATH")) == (0, CERTIFICATE_3_JSON)
+
+
+def _format_choices(name):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[name]._actions
+                if "--format" in a.option_strings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal-set", "2x3", "3x2"],
+    ["tilable", "3x1", "3x8", "4x5", "7x3"],
+    ["maxrank", "2", "3"],
+    ["maxrank", "2", "3", "--table"],
+    ["dedekind", "3"],
+    ["dedekind", "2", "--enumerate"],
+    ["dedekind", "3", "--dual", "w+xy"],
+    ["certificate", "2"],
+    ["poly", "2", "--d-max", "3"],
+])
+def test_every_format_of_every_subcommand(capsys, tmp_path, argv):
+    """Each --format choice a parser offers prints a well-formed view."""
+    if argv[0] == "certificate":
+        argv = argv + ["--output", str(tmp_path / "cert.jsonl")]
+    for fmt in _format_choices(argv[0]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out.endswith("\n"), (argv, fmt)
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            widths = {len(row.split(",")) for row in out.splitlines()}
+            assert len(widths) == 1 and widths != {1}, (argv, out)
 
 
 def test_certificate_text_and_files(capsys, tmp_path):
@@ -594,6 +701,16 @@ def _drop_last_level_2_brick(docs):
     return docs[:3]
 
 
+def _unbalance_a_level_2_brick(docs):
+    docs[2]["bricks"][0] = "(w)x(w+x)"
+    return docs
+
+
+def _mislabel_level_1(docs):
+    docs[1]["dimension"] = 2
+    return docs
+
+
 # well-formed levels that would grow wrong ones: levels 3 8 18 36, 3 5 18 36
 # and 3 7 17 35 with exit 0 (true: 3 7 18 36); each is refused before any
 # level is appended
@@ -603,7 +720,11 @@ def _drop_last_level_2_brick(docs):
     # caught once level 3 is grown
     (_drop_last_level_2_brick,
      "level 2 holds 17 bricks, its archetypes count 18"),
-], ids=["duplicate", "short-level-1", "short-level-2"])
+    (_unbalance_a_level_2_brick,
+     "level 2 brick '(w)x(w+x)' is not balanced"),
+    (_mislabel_level_1, "has levels out of order"),
+], ids=["duplicate", "short-level-1", "short-level-2", "unbalanced",
+        "out-of-order"])
 def test_certificate_resume_of_wrong_levels_exits_2(capsys, tmp_path,
                                                     corrupt, error):
     path = tmp_path / "n3.jsonl"

@@ -2,12 +2,11 @@ import json
 
 import pytest
 
+from brickrank.cli import main
 from brickrank.engine import GuardExceeded, minimal_elements, minimal_set
 from brickrank.maxrank import (
     geometric_maxrank,
     maxrank_table,
-    table_to_csv,
-    table_to_json,
     worst_protoset,
     worst_sidelengths,
 )
@@ -89,14 +88,17 @@ def test_maxrank_table_values():
         maxrank_table(2, 1)
 
 
-def test_table_to_csv_frozen():
-    rows = maxrank_table(2, 4)
-    assert table_to_csv(rows, 4) == "n,d=2,d=3,d=4\n1,1,1,1\n2,4,5,6\n"
+def _table(capsys, fmt):
+    assert main(["maxrank", "2", "4", "--table", "--format", fmt]) == 0
+    return capsys.readouterr().out
 
 
-def test_table_to_json_round_trip():
-    rows = maxrank_table(2, 4)
-    doc = json.loads(table_to_json(rows, 4))
+def test_table_to_csv_frozen(capsys):
+    assert _table(capsys, "csv") == "n,d=2,d=3,d=4\n1,1,1,1\n2,4,5,6\n"
+
+
+def test_table_to_json_round_trip(capsys):
+    doc = json.loads(_table(capsys, "json"))
     assert doc["columns"] == [2, 3, 4]
     assert doc["rows"] == [
         {"n": 1, "values": [1, 1, 1]},

@@ -154,6 +154,14 @@ def test_parse_nat_rejects_garbage():
             parse_nat(bad)
 
 
+def test_parse_nat_refuses_over_long_numbers():
+    """int() reads at most 4,300 digits; a longer number is a parse error."""
+    long = "1" + "0" * 5000
+    for bad in (long, f"2^{long}", f"{long}^1", f"2^1*{long}^1"):
+        with pytest.raises(ParseError):
+            parse_nat(bad)
+
+
 # the least strong pseudoprime to all twelve bases of is_probable_prime,
 # 2 to 37 (Sorenson and Webster 2015)
 PSEUDOPRIME = 318665857834031151167461
