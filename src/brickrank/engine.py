@@ -27,9 +27,10 @@ commutative, associative and idempotent, so the closure grows one input
 at a time: each input is combined with every live row.  While the live
 set has held at most _SLICE_AT rows, each divisibility test is one AND
 per row.  Past that the rows are bit-sliced, one int per row bit with a
-bit per row (Biham's bit-slicing), so finding the live rows that divide
-a candidate, or that it divides, takes one OR or AND per irreducible
-bit of its side codes.
+bit per row that lacks it (Biham's bit-slicing; closure rows are mostly
+ones, so the bits a row lacks are the fewer), so finding the live rows
+that divide a candidate, or that it divides, takes one AND or OR per
+irreducible bit of its side codes.
 With the trace on, each new row records the live row and the input it
 came from, so a derivation trace (needed to rebuild explicit tilings)
 comes from the same run.  The closure drops every brick another brick
@@ -43,14 +44,15 @@ element of a distributive lattice is a lattice homomorphism, so
 psi_T(b) = (b_1 v T_1, ..., b_d v T_d) commutes with cix in every
 direction and Cl(psi_T P) = psi_T(Cl P).  A brick c divides T exactly
 when psi_T(c) = T, so T is tilable exactly when T lies in Cl(psi_T P),
-whose least element T then is.  decide closes the lifted protos one
-direction at a time under a codec built over T and them (a
-lifted exponent never drops below T's, so fewer tests tell them apart)
-and stops once T's row is live; a proto that divides T answers before
-any codec.  Every closure row is a lattice term in the lifted rows, so
-it lies above their meet, the AND of their rows; the closure's meet is
-that same meet, so when it is not T's row the answer is no before any
-closure.
+whose least element T then is.  decide encodes T and the protos once
+and lifts on rows, ORing T's row into each; the codec is exact on the
+sublattice their sides generate, which holds every b v T and every
+combine of those.  It closes directions 1 to d - 1 and answers
+direction d by one pass over the live rows, so d = 1 runs no closure; a
+proto that divides T answers before any codec.  Every closure row is a
+lattice term in the lifted rows, so it lies above their meet, the AND
+of their rows; the closure's meet is that same meet, so when it is not
+T's row the answer is no before any closure.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ class _NatLattice:
         those p takes in values (0 where a value lacks p), of the count of
         p's test bits u has.  Test a implies test b when a's values are a
         subset of b's, so a code is spanned by its least ones and its
-        greatest zeros in that order."""
+        greatest zeros in that order.  The order tables among the sets
+        are built at the first probe: a codec that never slices rows
+        never probes."""
         values = list(set(values))
         every = (1 << len(values)) - 1
         # p -> e -> the values in which p has exponent e
@@ -175,16 +179,8 @@ class _NatLattice:
                 below |= masks[e]
             primes.append((p, code, exps))
         sets = list(bit)
-        lower, upper = [0] * len(sets), [0] * len(sets)
-        for j, s in enumerate(sets):
-            for k, t in enumerate(sets[:j]):
-                if (u := s | t) == s:  # t within s
-                    lower[j] |= 1 << k
-                    upper[k] |= 1 << j
-                elif u == t:
-                    lower[k] |= 1 << j
-                    upper[j] |= 1 << k
         full = (1 << len(sets)) - 1
+        order = None  # (lower, upper), built at the first probe
 
         def encode(v):
             code = 0
@@ -198,10 +194,29 @@ class _NatLattice:
                 if (e := exps[(code & mask).bit_count()])))
 
         def probe(code):
+            nonlocal order
+            if order is None:
+                order = _set_order(sets)
+            lower, upper = order
             return ([j for j in _bits(code) if not lower[j] & code],
                     [j for j in _bits(~code & full) if not upper[j] & ~code])
 
         return len(sets), encode, decode, probe
+
+
+def _set_order(sets):
+    """For each set s of sets, as bit masks over the positions of sets:
+    the other sets within s, and those s lies within."""
+    lower, upper = [0] * len(sets), [0] * len(sets)
+    for j, s in enumerate(sets):
+        for k, t in enumerate(sets[:j]):
+            if (u := s | t) == s:  # t within s
+                lower[j] |= 1 << k
+                upper[k] |= 1 << j
+            elif u == t:
+                lower[k] |= 1 << j
+                upper[j] |= 1 << k
+    return lower, upper
 
 
 class _NatOrder:
@@ -410,7 +425,8 @@ class _BrickCodec:
     natural; phrase codes are exact on every phrase over the letters.
     Meet, join and divisibility act side by side, so on rows cix is AND
     on the delta field and OR elsewhere, and divisibility is bit subset.
-    Each distinct side code is decoded, probed and split into bits once.
+    Each distinct side code is decoded, probed and split into its unset
+    bits once.
 
     Side codes are down-sets of a bit order, so probe(code) gives the
     ones and the zeros that span the rest: a code holds another exactly
@@ -423,9 +439,9 @@ class _BrickCodec:
             bricks[0]).side_codec([s for b in bricks for s in b.sides])
         self.decode_side = functools.cache(decode)
         self.probe = functools.cache(probe)
-        # as arrays: a table over 20 letters has half a million set bits
-        self.bits = functools.cache(lambda code: array("I", _bits(code)))
-        self.ones = (1 << self.stride) - 1
+        self.ones = ones = (1 << self.stride) - 1
+        # as arrays: a table over 20 letters has half a million unset bits
+        self.zeros = functools.cache(lambda code: array("I", _bits(code ^ ones)))
 
     def rows(self, bricks) -> list[int]:
         return [sum(self.encode_side(s) << i * self.stride
@@ -456,8 +472,9 @@ class _Slices:
     """Rows of one codec in slots, with alive marking the slots still
     held.  Up to _SLICE_AT slots each test scans the rows one by one;
     once the slot count passes it the rows are bit-sliced by slot: bit s
-    of cols[i][k] says whether the row in slot s has bit k of side i.
-    Both ways give the same slot masks."""
+    of cols[i][k] says whether the row in slot s lacks bit k of side i.
+    Closure rows are mostly ones, so slicing the bits a row lacks sets
+    fewer bits per row.  Both ways give the same slot masks."""
 
     def __init__(self, codec: _BrickCodec, rows=()):
         self.codec, self.rows, self.alive, self.cols = codec, [], 0, None
@@ -487,9 +504,9 @@ class _Slices:
             self._slice_row(s)
 
     def _slice_row(self, s: int) -> None:
-        bit, bits = 1 << s, self.codec.bits
+        bit, zeros = 1 << s, self.codec.zeros
         for cols, code in zip(self.cols, self.codec.sides(self.rows[s])):
-            for k in bits(code):
+            for k in zeros(code):
                 cols[k] |= bit
 
     def live(self) -> list[int]:
@@ -506,11 +523,11 @@ class _Slices:
                 if not r & out:
                     hit |= 1 << s
             return self.alive & hit
-        probe, ones, miss = self.codec.probe, self.codec.ones, 0
+        probe, ones, hit = self.codec.probe, self.codec.ones, self.alive
         for cols, at in self.by_side[delta]:
             for k in probe(row >> at & ones)[1]:
-                miss |= cols[k]
-        return self.alive & ~miss
+                hit &= cols[k]
+        return hit
 
     def above(self, row: int, delta: int | None = None) -> int:
         """The live slots whose rows row divides, on side delta or all."""
@@ -523,11 +540,11 @@ class _Slices:
                 if not need & ~r:
                     hit |= 1 << s
             return self.alive & hit
-        probe, ones, hit = self.codec.probe, self.codec.ones, self.alive
+        probe, ones, miss = self.codec.probe, self.codec.ones, 0
         for cols, at in self.by_side[delta]:
             for k in probe(row >> at & ones)[0]:
-                hit &= cols[k]
-        return hit
+                miss |= cols[k]
+        return self.alive & ~miss
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +681,26 @@ def is_tilable(target: Brick, minimal) -> bool:
 
 def decide(target: Brick, protos) -> bool:
     """Signed-tilability decision without M(P): close the protos joined
-    with the target, stopping once the target itself is reached.
+    with the target in every direction but the last, and answer the last
+    by one pass over the live rows.
 
     psi_T(b) = b v T side by side commutes with every cix, so the closure
     of psi_T(P) is psi_T of the closure of P, and c divides T exactly when
     psi_T(c) = T.  T, the least element of that closure, is in it exactly
-    when T is tilable, and is then its only minimal row.  Every row of
-    the closure lies above the meet of the lifted protos, and T below it,
-    so T is out of reach unless that meet is T.
+    when T is tilable.  Every row of the closure lies above the meet of
+    the lifted protos, and T below it, so T is out of reach unless that
+    meet is T.
+
+    One sweep of directions reaches the fixpoint, so T is in the closure
+    exactly when it is a direction-d combine of a set S of rows of the
+    closure C in directions 1 to d - 1.  Every row lies above T, so the
+    join of S off side d is T's there exactly when every row of S equals
+    T off side d, and the combine is T exactly when those rows meet to T
+    on side d.  The rows equal to T off side d meet to T if any set of
+    them does.  A row of C that is not minimal lies above a minimal one,
+    which lies above T and so also equals T off side d: the live rows
+    among them have the same meet as all of them.  The same pass in an
+    earlier direction finds T sooner when it is already a combine there.
     """
     bl = list(protos)
     if not bl:
@@ -688,18 +717,20 @@ def decide(target: Brick, protos) -> bool:
         if not all(kept):
             return False  # a side no phrase over those letters is below
         target = Brick(tuple(Phrase(tuple(ws)) for ws in kept))
-    lifted = list(dict.fromkeys(
-        Brick(tuple(map(lat.join, b.sides, target.sides))) for b in bl))
-    if target in lifted:
+    if any(all(map(lat.leq, b.sides, target.sides)) for b in bl):
         return True  # a proto divides the target
-    codec = _BrickCodec([target] + lifted)
-    goal, *rows = codec.rows([target] + lifted)
+    codec = _BrickCodec([target] + bl)
+    goal, *rows = codec.rows([target] + bl)
+    rows = list(dict.fromkeys(r | goal for r in rows))
     if functools.reduce(int.__and__, rows) != goal:
         return False  # every closure row lies above the lifted protos' meet
     for delta in range(1, d + 1):
-        rows = _close(delta, rows, codec, None, None)
-        if goal in rows:
+        other = ~codec.side_mask(delta)
+        on_t = [r for r in rows if r & other == goal & other]
+        if on_t and functools.reduce(int.__and__, on_t) == goal:
             return True
+        if delta < d:
+            rows = _close(delta, rows, codec, None, None)
     return False
 
 

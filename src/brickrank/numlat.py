@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import chain, compress, count
 import math
 import re
 
@@ -149,12 +149,26 @@ class FactoredNat:
 ONE = FactoredNat(())
 
 
-def _trial_divisors():
-    """2, 3, 5, then every integer from 7 on prime to 30 (a wheel mod
-    30): each prime in increasing order, among 8 of every 30 integers."""
-    yield from (2, 3, 5)
-    for base in count(0, 30):
-        for r in (7, 11, 13, 17, 19, 23, 29, 31):
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+# trial division takes these from a table, and larger divisors from _wheel
+_TABLE_PRIMES = _primes_below(1000)
+
+
+def _wheel():
+    """Every integer from 1000 on prime to 30 (a wheel mod 30): each
+    prime in increasing order, among 8 of every 30 integers.  The offsets
+    from 1020 are the 8 residues prime to 30, from 1001 up to 1027."""
+    for base in count(1020, 30):
+        for r in (-19, -17, -13, -11, -7, -1, 1, 7):
             yield base + r
 
 
@@ -169,7 +183,7 @@ def nat(k: int) -> FactoredNat:
         )
     pairs = []
     rem = k
-    for p in _trial_divisors():
+    for p in chain(_TABLE_PRIMES, _wheel()):
         if p * p > rem:
             break
         if rem % p == 0:

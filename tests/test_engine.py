@@ -877,6 +877,44 @@ def test_decide_matches_minimal_set(monkeypatch):
                 (name, "refuted by", "closure"), (name, "sliced")} <= outcomes
 
 
+@functools.cache
+def _decided_cases():
+    """(target, protos, answer by M(P)) for each of _decide_cases()."""
+    return [(t, P, is_tilable(t, minimal_set(P))) for t, P in _decide_cases()]
+
+
+def test_decide_closes_all_directions_but_the_last(monkeypatch):
+    closed = []
+
+    def close(*args):
+        closed.append(args[0])
+        return _close(*args)
+
+    monkeypatch.setattr(brickrank.engine, "_close", close)
+    last_pass = 0
+    for target, P, want in _decided_cases():
+        closed.clear()
+        assert decide(target, P) == want, (target, P)
+        d = target.dim
+        assert closed == list(range(1, len(closed) + 1)), (target, P)
+        assert len(closed) <= d - 1, (target, P)
+        # a yes after d - 1 closures came from the pass over direction d
+        last_pass += want and d >= 2 and len(closed) == d - 1
+    assert last_pass
+
+
+def test_decide_builds_no_lifted_brick(monkeypatch):
+    cases = _decided_cases()
+
+    def refuse(*args):
+        raise AssertionError("a lattice join on sides")
+
+    monkeypatch.setattr(brickrank.engine, "lcm_nat", refuse)
+    monkeypatch.setattr(brickrank.dedekind, "join", refuse)
+    for target, P, want in cases:
+        assert decide(target, P) == want, (target, P)
+
+
 def test_decide_dividing_proto_starts_no_closure(monkeypatch):
     def refuse(*args):
         raise AssertionError("closure started")

@@ -49,6 +49,11 @@ def test_nat_wheel_matches_plain_trial_division():
     (999_999_999_989, ((999_999_999_989, 1),)),  # the largest 12-digit prime
     (999_983 ** 2, ((999_983, 2),)),
     (999_979 * 999_983, ((999_979, 1), (999_983, 1))),
+    # where the prime table ends and the wheel takes over
+    (991 * 997, ((991, 1), (997, 1))),
+    (997 ** 2, ((997, 2),)),
+    (1009 ** 2, ((1009, 2),)),
+    (997 * 1009, ((997, 1), (1009, 1))),
 ])
 def test_nat_factors_near_the_bound(k, factors):
     assert nat(k).factors == factors
