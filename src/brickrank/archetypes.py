@@ -340,7 +340,7 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
     Guard: n <= 4 by default; n = 5 must be let in with allow_big.  On
     a 2-core machine n = 4 takes about 0.2 s, and n = 5 reaches level 3
     (40,517 bricks) in about 20 s at 60 MB peak RSS and level 4 (120,614
-    bricks) in about 10 minutes at 134 MB; level 5 (273,540 bricks) has
+    bricks) in about 5 minutes at 137 MB; level 5 (273,540 bricks) has
     not been run to the end.  When
     checkpoint names a file, each finished level is appended to it as
     one JSON document per line and a partial file is picked up where it

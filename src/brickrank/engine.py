@@ -61,7 +61,6 @@ from array import array
 import copy
 from dataclasses import dataclass
 import functools
-import math
 import re
 
 from . import dedekind
@@ -132,7 +131,7 @@ class _NatLattice:
 
     @staticmethod
     def sort_key(sides):
-        return _NatOrder(sides)
+        return sides
 
     @staticmethod
     def render_side(a):
@@ -217,33 +216,6 @@ def _set_order(sets):
                 lower[k] |= 1 << j
                 upper[j] |= 1 << k
     return lower, upper
-
-
-class _NatOrder:
-    """Sort key of a tuple of naturals, by value side by side, without
-    expanding them: two logs further apart than their rounding error (a
-    relative 1e-9 is far above it) decide, and only closer ones compare
-    the exact quotients by the gcd."""
-
-    __slots__ = ("nats",)
-
-    def __init__(self, nats: tuple):
-        self.nats = nats
-
-    def __lt__(self, other):
-        for a, b in zip(self.nats, other.nats):
-            if a.factors != b.factors:
-                gap = a.log - b.log
-                if abs(gap) > 1e-9 * (1 + a.log + b.log):
-                    return gap < 0
-                g = gcd_nat(a, b)
-                return _quotient(a, g) < _quotient(b, g)
-        return len(self.nats) < len(other.nats)
-
-
-def _quotient(a: FactoredNat, g: FactoredNat) -> int:
-    """a / g for g dividing a."""
-    return math.prod(p ** (e - g.exponent(p)) for p, e in a.factors)
 
 
 # a phrase side over k letters is a 2^k-bit table

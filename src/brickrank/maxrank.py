@@ -76,8 +76,7 @@ def maxrank_table(n_max: int, d_max: int, allow_big: bool = False,
     """Rows n = 1..n_max of geometric maxrank over columns d = 2..d_max."""
     if d_max < 2:
         raise ValueError(f"need d_max >= 2, got {d_max}")
-    for nn in range(1, n_max + 1):
-        _check_guard(nn, d_max, allow_big)
+    _check_guard(n_max, d_max, allow_big)  # the guarded region is a down-set
     rows = []
     for nn in range(1, n_max + 1):
         row = []

@@ -12,6 +12,9 @@ Literal grammar (no whitespace):
     factor := prime "^" exponent
 
 with primes strictly increasing left to right, e.g. ``2^1*3^1*5^2``.
+
+Naturals compare by value, and no comparison expands a quotient of
+more than _MAX_QUOTIENT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # is_probable_prime proves primality.
 _PRIME_BOUND = 318665857834031151167461
 
-_prime_cache: list[int] = [2, 3]
+# Quotients of 10^5 digits compare in a few ms, and the cost grows faster
+# than the digits (two of 5 million take seconds).  Only logs made to agree
+# to 1e-9, like 2^p and 3^q for a convergent p/q of log2(3), need them.
+_MAX_QUOTIENT_DIGITS = 10**5
 
 
 def is_probable_prime(n: int) -> bool:
@@ -87,16 +93,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def first_primes(k: int) -> list[int]:
-    """The first k primes, cached across calls."""
-    while len(_prime_cache) < k:
-        c = _prime_cache[-1] + 2
-        while not is_probable_prime(c):
-            c += 2
-        _prime_cache.append(c)
-    return _prime_cache[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +132,25 @@ class FactoredNat:
         """The natural log of the value, from the factors alone."""
         return math.fsum(e * math.log(p) for p, e in self.factors)
 
+    def __lt__(self, other):
+        """Order by value: two logs further apart than their rounding
+        error (a relative 1e-9 is far above it) decide, and only closer
+        ones compare the exact quotients by the gcd, each of at most
+        _MAX_QUOTIENT_DIGITS digits by its log or GuardExceeded."""
+        if not isinstance(other, FactoredNat):
+            return NotImplemented
+        gap = self.log - other.log
+        if abs(gap) > 1e-9 * (1 + self.log + other.log):
+            return gap < 0
+        g = gcd_nat(self, other)
+        if (max(self.log, other.log) - g.log
+                > _MAX_QUOTIENT_DIGITS * math.log(10)):
+            raise GuardExceeded(f"ordering {render_nat(self)} and "
+                                f"{render_nat(other)} needs quotients of more "
+                                f"than {_MAX_QUOTIENT_DIGITS} digits")
+        return (math.prod(p ** (e - g.exponent(p)) for p, e in self.factors)
+                < math.prod(p ** (e - g.exponent(p)) for p, e in other.factors))
+
     def exponent(self, p: int) -> int:
         for q, e in self.factors:
             if q == p:
@@ -161,6 +176,16 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 # trial division takes these from a table, and larger divisors from _wheel
 _TABLE_PRIMES = _primes_below(1000)
+
+
+def first_primes(k: int) -> list[int]:
+    """The first k primes: from the table up to its 168, else from a
+    sieve up to k (ln k + ln ln k), above the k-th prime for k >= 6
+    (Rosser and Schoenfeld 1962)."""
+    if k <= len(_TABLE_PRIMES):
+        return list(_TABLE_PRIMES[:k])
+    bound = k * (math.log(k) + math.log(math.log(k)))
+    return list(_primes_below(int(bound) + 1)[:k])
 
 
 def _wheel():

@@ -173,10 +173,7 @@ def _grid(sides: tuple[int, ...], box: tuple[int, ...]) -> list[tuple[int, ...]]
 def parallel_pack(b: Brick, target: Brick) -> TilingWitness | None:
     """The all-positive witness when b divides target: a full grid of
     translated copies, one per cell of the quotient box."""
-    if not brick_divides(b, target):
-        return None
-    _check_sizes((b, target))
-    return _witness((b,), {}, b, target)
+    return tile_witness((b,), target)
 
 
 def _segment_pair(x: int, y: int, t: int) -> list[tuple[int, int, int]]:

@@ -178,6 +178,8 @@ def test_certificate_decodes_and_encodes_each_side_once(tmp_path, monkeypatch):
 def test_certificate_guard():
     with pytest.raises(GuardExceeded):
         certificate(5)
+    with pytest.raises(ValueError):
+        certificate(0)
 
 
 def test_certificate_levels_nest_upward():

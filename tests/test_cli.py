@@ -260,18 +260,17 @@ def test_tilable_witness_side_guard(capsys, argv):
     assert err.startswith("guard:") and "digits" in err
 
 
-def test_tilable_witness_side_guard_expands_nothing():
-    """A side of 2^(10^11) would take 12.5 GB to expand; the guard reads
-    its size from the factors.  The child runs under a 1.5 GB address
-    space limit, so a missing guard fails rather than exhausting memory."""
+def _run_limited(*argv):
+    """cli.main(argv) in a child under a 1.5 GB address space limit, so a
+    missing guard fails rather than exhausting memory: the exit code,
+    stdout, stderr and seconds taken."""
     src = str(Path(cli.__file__).resolve().parents[1])
     child = (f"import contextlib, io, json, sys, time; sys.path.insert(0, {src!r})\n"
              "import brickrank.cli\n"
              "out, err = io.StringIO(), io.StringIO()\n"
              "start = time.perf_counter()\n"
              "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-             "    code = brickrank.cli.main(['tilable', '--witness',\n"
-             "        '2^100000000000x1', '2^100000000000x1'])\n"
+             f"    code = brickrank.cli.main({list(argv)!r})\n"
              "print(json.dumps([code, out.getvalue(), err.getvalue(),\n"
              "                  time.perf_counter() - start]))\n")
 
@@ -281,7 +280,25 @@ def test_tilable_witness_side_guard_expands_nothing():
     done = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, timeout=60, preexec_fn=limit)
     assert done.returncode == 0, done.stderr
-    code, out, err, seconds = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_tilable_witness_side_guard_expands_nothing():
+    """A side of 2^(10^11) would take 12.5 GB to expand; the guard reads
+    its size from the factors."""
+    code, out, err, seconds = _run_limited(
+        "tilable", "--witness", "2^100000000000x1", "2^100000000000x1")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard:") and "digits" in err
+    assert seconds < 0.5
+
+
+def test_ordering_sides_expands_no_long_quotient():
+    """2^16785921 and 3^10590737 agree to 5e-8 in their logs, so only
+    their exact values order them: two 5,053,066-digit integers.  The
+    bound reads their size from the logs and refuses at once."""
+    code, out, err, seconds = _run_limited(
+        "minimal-set", "2^16785921", "3^10590737")
     assert (code, out) == (3, "")
     assert err.startswith("guard:") and "digits" in err
     assert seconds < 0.5

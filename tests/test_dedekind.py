@@ -215,6 +215,8 @@ def test_truth_table_semantics():
         s = {i + 1 for i in range(3) if bits >> i & 1}
         expect = (1 in s) or {2, 3} <= s
         assert bool(tt >> bits & 1) == expect
+    with pytest.raises(ValueError, match="outside"):
+        phrase_tt(a, 2)
 
 
 def test_enumerate_lattice_sizes():
@@ -280,6 +282,8 @@ def test_lattice_count_matches_the_tables():
             lattice_count(n)
     with pytest.raises(GuardExceeded):
         lattice_tables(6)
+    with pytest.raises(ValueError):
+        lattice_tables(0)
 
 
 def test_dedekind_count_n6():

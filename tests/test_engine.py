@@ -939,6 +939,8 @@ def test_decide_meet_bound_starts_no_closure(monkeypatch):
 
 
 def test_decide_mixed_shapes_raise():
+    with pytest.raises(ValueError, match="empty"):
+        decide(brick(3, 1), [])
     with pytest.raises(DimensionMismatch):
         decide(brick(3, 1), [brick(3, 1, 1)])
     with pytest.raises(DimensionMismatch):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from brickrank.cli import main
+from brickrank.dedekind import lattice_tables
 from brickrank.engine import GuardExceeded, minimal_elements, minimal_set
 from brickrank.maxrank import (
     geometric_maxrank,
@@ -70,6 +71,8 @@ def test_geometric_maxrank_result_is_antichain():
 def test_guards():
     with pytest.raises(GuardExceeded):
         geometric_maxrank(5, 3)
+    # the default guard's n = 5 corner meets the lattice table
+    assert geometric_maxrank(5, 2) == 7579 == len(lattice_tables(5))
     with pytest.raises(GuardExceeded):
         geometric_maxrank(4, 9)
     with pytest.raises(GuardExceeded):
@@ -86,6 +89,8 @@ def test_maxrank_table_values():
     assert maxrank_table(2, 5) == [[1, 1, 1, 1], [4, 5, 6, 7]]
     with pytest.raises(ValueError):
         maxrank_table(2, 1)
+    with pytest.raises(ValueError):
+        maxrank_table(0, 3)
 
 
 def _table(capsys, fmt):

@@ -6,6 +6,7 @@ import pytest
 from brickrank.numlat import (
     ONE,
     FactoredNat,
+    GuardExceeded,
     ParseError,
     divides_nat,
     first_primes,
@@ -126,6 +127,27 @@ def test_first_primes():
     assert first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(first_primes(120)) == 120  # enough for n = 5 worst cases
     assert first_primes(120)[119] == 659
+    # against a search that tests each odd number in turn
+    primes = [2]
+    for c in range(3, 8000, 2):
+        if is_probable_prime(c):
+            primes.append(c)
+    assert len(primes) > 1000
+    for k in range(1001):
+        assert first_primes(k) == primes[:k], k
+
+
+def test_order_expands_no_quotient_past_the_bound():
+    # 2^p and 3^q for convergents p/q of log2(3): logs within the slack
+    a, b = FactoredNat(((2, 301994),)), FactoredNat(((3, 190537),))
+    assert abs(a.log - b.log) < 1e-9 * a.log  # 90,909-digit quotients
+    assert (a < b) == (a.value < b.value)
+    assert (b < a) == (b.value < a.value)
+    a, b = FactoredNat(((2, 16785921),)), FactoredNat(((3, 10590737),))
+    with pytest.raises(GuardExceeded, match="digits"):
+        a < b  # 5,053,066-digit quotients
+    with pytest.raises(TypeError):
+        a < 3
 
 
 def test_is_probable_prime_small_sweep():

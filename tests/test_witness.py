@@ -95,6 +95,14 @@ def test_verify_rejects_wrong_dimension():
                                             (Placement(0, (0, 0), 1),)))
 
 
+def test_witnesses_need_numeric_bricks():
+    box = brick("(w)", "(x)")
+    with pytest.raises(ValueError, match="numeric"):
+        tile_witness([box], box)
+    with pytest.raises(ValueError, match="numeric"):
+        verify_witness(TilingWitness(box, (box,), (Placement(0, (0, 0), 1),)))
+
+
 def test_verify_with_proto_override():
     w = _hand_fig2_witness()
     assert verify_witness(TilingWitness(w.target, tuple(FIG2), w.placements))
