@@ -14,14 +14,14 @@ reached is always n - 1 (a violation raises FactViolation, since the
 counting below would be unsound).
 
 A run stays packed from its first level to its last.  One codec codes
-every side as its truth table over letters 1..n, and a level is a list
-of rows: prefix padded with the envelope, then the envelope.  Only the
-starting level is encoded (the n cubes, or the last level of a resumed
-checkpoint).  Each next level's inputs copy a row's envelope field into
-the new coordinate, and the engine's one-direction closure runs on them
-directly.  Balance, trimming, order, true dimension, checkpoint text and
-archetypes all read facts found once per distinct side code, and each
-code is decoded once, for the SymBricks of Certificate.levels.
+every side as its truth table over letters 1..n, and a level holds each
+brick as side codes: prefix padded with the envelope, then the envelope.
+A level is either read from brick text (the n cubes, or a checkpoint's
+level), each distinct side text parsed and encoded once, or grown: each
+envelope is copied into the new coordinate and the engine's closure runs
+on the codec's rows.  Balance, trimming, order, true dimension,
+checkpoint text and archetypes all read facts found once per distinct
+side code, and each code is decoded once, for Certificate.levels.
 
 Grouping the non-envelope sidelengths of a minimal brick gives its
 archetype [e; a1^r1, ..., aK^rK].  Every coordinate arrangement of an
@@ -164,46 +164,15 @@ def render_symbrick(b: SymBrick, d: int, n: int | None = None) -> str:
     return "x".join("(" + render_phrase(s, n) + ")" for s in pad)
 
 
-def _checkpoint_brick(path: str, n: int, d: int, text: str,
-                      phrases: dict[str, Phrase]) -> SymBrick:
-    """A brick of a checkpoint's level d: symbolic, over letters 1..n,
-    balanced, and with at most d sides besides its envelope.  phrases
-    holds each side text parsed so far."""
-    if not (text.startswith("(") and text.endswith(")")):
-        raise CheckpointError(
-            f"checkpoint {path}: level {d} brick {text!r} is not symbolic")
-    sides = []
-    for part in text[1:-1].split(")x("):
-        if part not in phrases:
-            try:
-                phrases[part] = parse_phrase(part)
-            except PhraseParseError as e:
-                raise CheckpointError(f"checkpoint {path}: level {d} brick "
-                                      f"{text!r}: {e}") from None
-        sides.append(phrases[part])
-    b = symbrick(sides)
-    if max(b.envelope.words)[0] > n:
-        raise CheckpointError(f"checkpoint {path}: level {d} brick {text!r} "
-                              f"uses a letter beyond {n}")
-    if len(b.prefix) > d:
-        raise CheckpointError(f"checkpoint {path}: level {d} brick {text!r} "
-                              "has more sides than its level allows")
-    if not is_balanced(b):
-        raise CheckpointError(f"checkpoint {path}: level {d} brick {text!r} "
-                              "is not balanced")
-    return b
-
-
 # ---------------------------------------------------------------------------
-# the level construction, on packed rows
+# the level construction, on side codes
 
 
 class _Run:
     """The side codes of one certificate run: truth tables over letters
-    1..n at stride 2^n, under one codec whose caches serve every level,
-    and the facts of each distinct code, found once: its phrase, its
-    alphabet, its text, and its rank in phrase_key order among the codes
-    met so far."""
+    1..n under one codec whose caches serve every level, and the facts
+    of each distinct code, found once: its phrase, its alphabet, its
+    text, and its rank in phrase_key order among the codes met so far."""
 
     def __init__(self, n: int):
         self.n = n
@@ -226,68 +195,102 @@ class _Run:
         keys = {c: phrase_key(p) for c, p in self.phrase.items()}
         self.rank = {c: r for r, c in enumerate(sorted(keys, key=keys.get))}
 
-    def pack(self, d: int, bricks) -> "_Level":
-        """The bricks of level d, each distinct side encoded once."""
-        pads = [rep_at_level(b, d).sides for b in dict.fromkeys(bricks)]
-        code = {s: self.codec.encode_side(s) for s in set().union(*pads)}
-        at = [i * self.codec.stride for i in range(d + 1)]
-        return self.level(d, [sum(code[s] << i for i, s in zip(at, p))
-                              for p in pads])
+    def read(self, d: int, texts, where: str) -> "_Level":
+        """Level d from the texts of its bricks, each distinct side text
+        parsed and encoded once and trailing envelope sides trimmed.  A
+        brick that is not symbolic, has a bad phrase or a letter beyond
+        n, has more sides than level d allows, or repeats one before it
+        raises CheckpointError naming where."""
+        n, encode = self.n, self.codec.encode_side
+        side: dict[str, tuple[int, frozenset[int]]] = {}
+        envelope: dict[frozenset[int], int] = {}
+        bricks = []
+        for text in texts:
+            bad = f"{where}: level {d} brick {text!r}"
+            if not (text.startswith("(") and text.endswith(")")):
+                raise CheckpointError(f"{bad} is not symbolic")
+            codes, letters = [], frozenset()
+            for part in text[1:-1].split(")x("):
+                if part not in side:
+                    try:
+                        p = parse_phrase(part)
+                    except PhraseParseError as e:
+                        raise CheckpointError(f"{bad}: {e}") from None
+                    alpha = dedekind.phrase_alphabet(p)
+                    if max(alpha) > n:
+                        raise CheckpointError(
+                            f"{bad} uses a letter beyond {n}")
+                    side[part] = encode(p), alpha
+                code, alpha = side[part]
+                codes.append(code)
+                letters |= alpha
+            if letters not in envelope:
+                envelope[letters] = encode(_pure_sum(letters))
+            env = envelope[letters]
+            while codes and codes[-1] == env:
+                codes.pop()
+            if len(codes) > d:
+                raise CheckpointError(
+                    f"{bad} has more sides than its level allows")
+            bricks.append(codes + [env] * (d + 1 - len(codes)))
+        if len(set(map(tuple, bricks))) < len(bricks):
+            raise CheckpointError(f"{where}: level {d} repeats a brick")
+        return self.level(d, bricks, where)
 
-    def level(self, d: int, rows) -> "_Level":
-        """Distinct rows of level d in certificate order: by prefix
-        length, then prefix and envelope in phrase_key order.  Raises
-        FactViolation on a row with a prefix side whose alphabet is not
-        its envelope's."""
-        codec = self.codec.widened(d + 1)
-        sides = list(map(codec.sides, rows))
-        self.learn({c for s in sides for c in s})
+    def level(self, d: int, bricks, where: str | None = None) -> "_Level":
+        """Level d from the side codes of its distinct bricks, put in
+        certificate order: by prefix length, then prefix and envelope in
+        phrase_key order.  A brick with a prefix side whose alphabet is
+        not its envelope's raises FactViolation, or CheckpointError
+        naming where for a level that was read."""
+        self.learn({c for s in bricks for c in s})
         alphabet, rank = self.alphabet, self.rank
         keyed, top = [], 0
-        for row, s in zip(rows, sides):
+        for s in bricks:
             env, k = s[d], d
             while k and s[k - 1] == env:
                 k -= 1
             if any(alphabet[c] != alphabet[env] for c in s[:k]):
-                raise FactViolation(f"unbalanced minimal brick at level {d}: "
-                                    f"{self._symbrick(s, d, k)}")
+                bad = f"level {d} brick {self.render(s, d)!r} is not balanced"
+                raise (FactViolation(bad) if where is None
+                       else CheckpointError(f"{where}: {bad}"))
             top = max(top, sum(c != env for c in s[:k]))
-            keyed.append(((k, tuple(map(rank.get, s[:k])), rank[env]), row, s))
-        keyed.sort(key=lambda t: t[0])
-        return _Level(self, d, top, [t[1] for t in keyed],
-                      [t[2] for t in keyed], [t[0][0] for t in keyed])
+            keyed.append(((k, tuple(map(rank.get, s[:k])), rank[env]), s))
+        keyed.sort()  # the keys of distinct bricks differ
+        return _Level(self, d, top, [s for _, s in keyed],
+                      [key[0] for key, _ in keyed])
 
-    def _symbrick(self, s, d: int, k: int) -> SymBrick:
-        return SymBrick(tuple(map(self.phrase.get, s[:k])), self.phrase[s[d]])
+    def render(self, s, d: int) -> str:
+        """render_symbrick of the brick with side codes s at level d."""
+        return "x".join(map(self.text.get, s[:max(d, 1)]))
 
 
 @dataclass
 class _Level:
-    """One level of a run as rows in certificate order: side i < d of a
-    row is prefix side i padded with the envelope, side d the envelope.
-    cut holds each row's prefix length, trailing envelope trimmed."""
+    """One level of a run in certificate order: side i < d of a brick is
+    prefix side i padded with the envelope, side d the envelope.  cut
+    holds each brick's prefix length, trailing envelope trimmed."""
 
     run: _Run
     d: int
     max_true_dim: int
-    rows: list[int]
     sides: list[list[int]]
     cut: list[int]
 
     def symbricks(self) -> tuple[SymBrick, ...]:
-        sb = self.run._symbrick
-        return tuple(sb(s, self.d, k) for s, k in zip(self.sides, self.cut))
+        phrase, d = self.run.phrase, self.d
+        return tuple(SymBrick(tuple(map(phrase.get, s[:k])), phrase[s[d]])
+                     for s, k in zip(self.sides, self.cut))
 
     def texts(self) -> list[str]:
         """render_symbrick of each brick at level d."""
-        text, w = self.run.text, max(self.d, 1)
-        return ["x".join(map(text.get, s[:w])) for s in self.sides]
+        return [self.run.render(s, self.d) for s in self.sides]
 
     def archetypes(self) -> tuple["Archetype", ...]:
         """The distinct archetypes of the level, in order of true
         dimension, envelope, then parts, each by phrase_key."""
         d, rank, phrase = self.d, self.run.rank, self.run.phrase
-        # each row's envelope and the sorted prefix sides that differ from it
+        # each brick's envelope and its sorted prefix sides that differ from it
         kinds = {(s[d], tuple(sorted(c for c in s[:k] if c != s[d])))
                  for s, k in zip(self.sides, self.cut)}
         seen = []
@@ -304,18 +307,14 @@ class _Level:
 
 def next_minimal_level(prev: _Level) -> _Level:
     """Minimal bricks at level d = prev.d + 1 from those at level d - 1,
-    both packed: copy each row's envelope into coordinate d, close under
-    the binary combine in coordinate d, keep the minimal elements.  The
-    inputs go in in brick_sort_key order (by side ranks), as ext_dir
-    would take them."""
+    both packed: copy each brick's envelope into coordinate d, close the
+    codec's rows under the binary combine in coordinate d, keep the
+    minimal elements.  The inputs go in in the order prev holds them."""
     run, d = prev.run, prev.d + 1
-    stride, ones, rank = run.codec.stride, run.codec.ones, run.rank
-    ranked = sorted((tuple(map(rank.get, s)), r)
-                    for s, r in zip(prev.sides, prev.rows))
-    last, new = (d - 1) * stride, d * stride
-    rows = [r | (r >> last & ones) << new for _, r in ranked]
-    rows = _close(d, rows, run.codec.widened(d + 1), None, None)
-    return run.level(d, rows)
+    wide = run.codec.widened(d + 1)
+    rows = _close(d, [wide.row(s + s[-1:]) for s in prev.sides], wide,
+                  None, None)
+    return run.level(d, list(map(wide.sides, rows)))
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,12 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
     """Run the construction for alphabet size n.
 
     Guard: n <= 4 by default; n = 5 must be let in with allow_big.  On
-    a 2-core machine n = 4 takes about 0.2 s, and n = 5 reaches level 3
-    (40,517 bricks) in about 20 s at 60 MB peak RSS and level 4 (120,614
+    a 2-core machine n = 4 takes about 0.08 s, and n = 5 reaches level 3
+    (40,517 bricks) in about 21 s at 57 MB peak RSS and level 4 (120,614
     bricks) in about 5 minutes at 137 MB; level 5 (273,540 bricks) has
-    not been run to the end.  When
-    checkpoint names a file, each finished level is appended to it as
-    one JSON document per line and a partial file is picked up where it
-    left off.
+    not been run to the end.  When checkpoint names a file, each finished
+    level is appended to it as one JSON document per line and a partial
+    file is picked up where it left off.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -354,17 +352,17 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
             "pass allow_big (and a checkpoint path) to force"
         )
 
-    levels: list[tuple[SymBrick, ...]] = []
-    complete = False
+    run, read, complete = _Run(n), [], False
     if checkpoint and os.path.exists(checkpoint):
-        levels, complete = _load_levels(checkpoint, n)
-        if progress is not None and levels:
-            progress(f"resumed {len(levels)} levels from {checkpoint}")
-    fresh = not levels
+        read, complete = _load_levels(checkpoint, run)
+        if progress is not None and read:
+            progress(f"resumed {len(read)} levels from {checkpoint}")
+    fresh = not read
     if fresh:
-        levels = [_cubes(n)]
+        read = [run.read(0, [render_symbrick(b, 0, n) for b in _cubes(n)],
+                         "the letter cubes")]
     # fresh or resumed, the run goes on from its last level, packed
-    level = _Run(n).pack(len(levels) - 1, levels[-1])
+    levels, level = [l.symbricks() for l in read], read[-1]
     # a well-formed but wrong resumed level would grow wrong levels
     fail = FactViolation if fresh else CheckpointError
     archetypes = _check_counts(levels, level, fail)
@@ -379,7 +377,7 @@ def certificate(n: int, allow_big: bool = False, checkpoint: str | None = None,
             )
         level = next_minimal_level(level)
         if progress is not None:
-            progress(f"level {level.d}: {len(level.rows)} minimal bricks")
+            progress(f"level {level.d}: {len(level.sides)} minimal bricks")
         levels.append(level.symbricks())
         # a wrong resumed level shows here, before its growth is appended
         archetypes = _check_counts(levels, level, fail)
@@ -438,12 +436,13 @@ def _append(path: str, doc: dict) -> None:
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from None
 
 
-def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
-    """The levels stored in a checkpoint, and whether it ends with the
-    summary.  A last line that does not parse, or lacks its newline, was
-    cut mid-write: it is dropped and the file truncated after the last
-    complete line, so the next append starts on a fresh line.  A file
-    that cannot be resumed raises CheckpointError and is left as it is."""
+def _load_levels(path: str, run: _Run) -> tuple[list[_Level], bool]:
+    """The levels stored in a checkpoint, read into run, and whether it
+    ends with the summary.  A last line that does not parse, or lacks its
+    newline, was cut mid-write: once every level is read, the file is
+    truncated after the last complete line, so the next append starts on
+    a fresh line.  A file that cannot be resumed raises CheckpointError
+    and is left as it is."""
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines(keepends=True)
@@ -465,8 +464,7 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
             break
         docs.append(doc)
 
-    levels: list[tuple[SymBrick, ...]] = []
-    phrases: dict[str, Phrase] = {}
+    n, levels = run.n, []
     for doc in docs:
         if doc.get("complete"):
             continue
@@ -482,11 +480,8 @@ def _load_levels(path: str, n: int) -> tuple[list[tuple[SymBrick, ...]], bool]:
                 and all(isinstance(t, str) for t in texts)):
             raise CheckpointError(
                 f"checkpoint {path}: level {d} has no list of brick texts")
-        levels.append(tuple(_checkpoint_brick(path, n, d, t, phrases)
-                            for t in texts))
-        if len(set(levels[-1])) < len(texts):
-            raise CheckpointError(f"checkpoint {path}: level {d} repeats a brick")
-    if levels and levels[0] != _cubes(n):
+        levels.append(run.read(d, texts, f"checkpoint {path}"))
+    if levels and levels[0].symbricks() != _cubes(n):
         raise CheckpointError(
             f"checkpoint {path}: level 0 is not the {n} letter cubes")
     if cut is not None:

@@ -391,10 +391,11 @@ def _bits(x: int) -> list[int]:
 class _BrickCodec:
     """Bricks of one shape (the caller checks) as int rows.  Side i of a
     brick holds bits [i * stride, (i + 1) * stride) of its row: the side's
-    code under its lattice's side_codec, built from every side given.
-    Natural codes are exact only on the sublattice those sides generate,
-    which holds every combine of the bricks, so callers encode no other
-    natural; phrase codes are exact on every phrase over the letters.
+    code under its lattice's side_codec, built from every side given;
+    row and sides turn side codes into a row and back.  Natural codes are
+    exact only on the sublattice those sides generate, which holds every
+    combine of the bricks, so callers encode no other natural; phrase
+    codes are exact on every phrase over the letters.
     Meet, join and divisibility act side by side, so on rows cix is AND
     on the delta field and OR elsewhere, and divisibility is bit subset.
     Each distinct side code is decoded, probed and split into its unset
@@ -416,8 +417,10 @@ class _BrickCodec:
         self.zeros = functools.cache(lambda code: array("I", _bits(code ^ ones)))
 
     def rows(self, bricks) -> list[int]:
-        return [sum(self.encode_side(s) << i * self.stride
-                    for i, s in enumerate(b.sides)) for b in bricks]
+        return [self.row(map(self.encode_side, b.sides)) for b in bricks]
+
+    def row(self, codes) -> int:
+        return sum(c << i * self.stride for i, c in enumerate(codes))
 
     def sides(self, row: int) -> list[int]:
         return [row >> i * self.stride & self.ones for i in range(self.dim)]
@@ -637,7 +640,7 @@ def minimal_set(bricks, trace: dict | None = None) -> tuple[Brick, ...]:
     elements of the full combine closure, which are the bricks the closure
     keeps live.  Finite, an antichain, and the complete tilability
     criterion for P."""
-    return tuple(ext_all(bricks, trace=trace))
+    return tuple(_closure(bricks, None, trace))
 
 
 def rank(bricks, progress=None) -> int:

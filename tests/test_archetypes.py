@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -92,6 +93,18 @@ def test_rep_round_trip():
     assert render_symbrick(b, 3) == "(wxy)x(wx+wy+xy)x(w+x+y)"
 
 
+def test_symbolic_bricks_refuse_malformed_input():
+    with pytest.raises(ValueError, match="empty alphabet"):
+        archetypes._pure_sum([])
+    env = parse_phrase("w+x")
+    with pytest.raises(ValueError, match="trailing envelope"):
+        SymBrick((parse_phrase("wx"), env), env)
+    with pytest.raises(ValueError, match="exceeds level 1"):
+        rep_at_level(symbrick((parse_phrase("wx"),) * 2, env), 1)
+    with pytest.raises(ValueError, match="not a balanced brick"):
+        archetype_of(symbrick((parse_phrase("w"),), env))
+
+
 # ---------------------------------------------------------------------------
 # the certificate
 
@@ -151,7 +164,8 @@ def test_certificate_levels_match_the_phrase_construction(tmp_path):
 def test_n5_levels_match_the_phrase_construction():
     # letters w1..w5 render numbered; level 2 holds all 7579 phrases
     oracle = [_cubes(5)]
-    level = archetypes._Run(5).pack(0, oracle[0])
+    level = archetypes._Run(5).read(
+        0, [render_symbrick(b, 0, 5) for b in oracle[0]], "the cubes")
     for d in (1, 2):
         oracle.append(_oracle_next(oracle[-1], d))
         level = next_minimal_level(level)
@@ -272,6 +286,56 @@ def test_fresh_certificate_checks_the_counting_identity(monkeypatch):
                         lambda a, d: count(a, d) + (d > 0))
     with pytest.raises(FactViolation, match="level 1 holds 3 bricks"):
         certificate(2)
+
+
+def test_fresh_certificate_refuses_an_unbalanced_grown_level(monkeypatch):
+    # a grown level is checked by the one balance check that read levels pass
+    close = archetypes._close
+
+    def with_unbalanced(d, rows, codec, derived, inputs):
+        out = close(d, rows, codec, derived, inputs)
+        if d == 2:
+            w, wx = (codec.encode_side(parse_phrase(t)) for t in ("w", "w+x"))
+            out.append(codec.row([w, wx, wx]))
+        return out
+
+    monkeypatch.setattr(archetypes, "_close", with_unbalanced)
+    with pytest.raises(FactViolation) as e:
+        certificate(3)
+    assert str(e.value) == "level 2 brick '(w)x(w+x)' is not balanced"
+
+
+def test_fresh_certificate_refuses_a_wrong_top_dimension(monkeypatch):
+    grow = archetypes.next_minimal_level
+
+    def grow_with_top(top):
+        return lambda prev: dataclasses.replace(grow(prev),
+                                                max_true_dim=top(prev.d + 1))
+
+    # every level keeps its full true dimension, past n
+    monkeypatch.setattr(archetypes, "next_minimal_level",
+                        grow_with_top(lambda d: d))
+    with pytest.raises(FactViolation, match="n=2 still growing at level 3"):
+        certificate(2)
+    # the construction stops short of dimension n - 1
+    monkeypatch.setattr(archetypes, "next_minimal_level",
+                        grow_with_top(lambda d: 0))
+    with pytest.raises(FactViolation,
+                       match="top true dimension 0 for n=3, counting needs 2"):
+        certificate(3)
+
+
+def test_certificate_resumes_past_a_blank_line(tmp_path):
+    full = tmp_path / "full.jsonl"
+    cert = certificate(3, checkpoint=str(full))
+    lines = full.read_text().splitlines(keepends=True)
+    head = lines[0] + "\n" + lines[1] + "  \n"
+    path = tmp_path / "blank.jsonl"
+    path.write_text(head)
+    resumed = certificate(3, checkpoint=str(path))
+    assert (resumed.levels, resumed.archetypes) == (cert.levels,
+                                                    cert.archetypes)
+    assert path.read_text() == head + "".join(lines[2:])
 
 
 def test_certificate_checkpoint_rejects_other_n(tmp_path):
@@ -408,6 +472,15 @@ def test_render_polynomial_refuses_other_denominators():
 def test_fact_F4_nested_brick():
     for n in (1, 2, 3, 4):
         assert check_fact_F4(_cert(n))
+
+
+def test_fact_F4_fails_on_a_wrong_combine(monkeypatch):
+    cert = _cert(3)
+    # level 1 is too low to hold the nested brick
+    assert not check_fact_F4(Certificate(3, cert.levels[:2], 2, ()))
+    # a combine that keeps its first argument never leaves the first cube
+    monkeypatch.setattr(archetypes, "cix", lambda d, a, b: a)
+    assert not check_fact_F4(cert)
 
 
 def check_d2_bijection(n: int) -> bool:

@@ -755,6 +755,39 @@ def test_certificate_resume_of_wrong_levels_exits_2(capsys, tmp_path,
     assert path.read_bytes() == before
 
 
+def _add_a_level_1_brick_beyond_n(docs):
+    docs[1]["bricks"].append("(wz)")
+    return docs
+
+
+def _drop_a_cube(docs):
+    docs[0]["bricks"].pop()
+    return docs
+
+
+# every level is read and checked before a cut last line is truncated
+@pytest.mark.parametrize("corrupt, error", [
+    (_unbalance_a_level_2_brick,
+     "level 2 brick '(w)x(w+x)' is not balanced"),
+    (_duplicate_level_1_brick, "level 1 repeats a brick"),
+    (_add_a_level_1_brick_beyond_n,
+     "level 1 brick '(wz)' uses a letter beyond 3"),
+    (_drop_a_cube, "level 0 is not the 3 letter cubes"),
+], ids=["unbalanced", "duplicate", "letter-beyond-n", "other-cubes"])
+def test_certificate_resume_with_a_cut_line_checks_levels_first(
+        capsys, tmp_path, corrupt, error):
+    path = tmp_path / "n3.jsonl"
+    assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0
+    docs = corrupt([json.loads(line) for line in path.read_text().splitlines()])
+    lines = [json.dumps(doc) + "\n" for doc in docs[:3]]
+    path.write_text("".join(lines) + json.dumps(docs[3])[:40])
+    before = path.read_bytes()
+    code, out, err = run(capsys, "certificate", "3", "--resume", str(path))
+    assert (code, out) == (2, "")
+    assert "error: " in err and error in err
+    assert path.read_bytes() == before
+
+
 def test_certificate_resume_of_deeply_nested_line_exits_2(capsys, tmp_path):
     path = tmp_path / "n3.jsonl"
     assert run(capsys, "certificate", "3", "--output", str(path))[0] == 0

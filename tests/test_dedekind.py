@@ -90,6 +90,11 @@ def test_phrase_rejects_bad_words():
         phrase((0,))
 
 
+def test_reduce_words_rejects_the_empty_word():
+    with pytest.raises(ValueError, match="empty word"):
+        reduce_words([()])
+
+
 def test_phrase_builder_normalizes_words():
     # builder sorts and dedupes letters within a word
     assert phrase((2, 2)) == phrase((2,))

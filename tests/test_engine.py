@@ -120,6 +120,11 @@ def test_brick_rejects_empty_and_mixed():
             brick(bad)
 
 
+def test_brick_rejects_other_side_types():
+    with pytest.raises(TypeError, match="unsupported sidelength type float"):
+        Brick((1.5,))
+
+
 def test_brick_text_round_trip_exact():
     assert render_brick(parse_brick("25x3")) == "25x3"
     assert render_brick(parse_brick("(wx)x(w+x)")) == "(wx)x(w+x)"

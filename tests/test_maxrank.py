@@ -85,6 +85,13 @@ def test_guards():
     assert len(worst_sidelengths(6, allow_big=True)) == 6
 
 
+def test_worst_cases_need_a_letter_and_a_dimension():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        worst_sidelengths(0)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        worst_protoset(2, 0)
+
+
 def test_maxrank_table_values():
     assert maxrank_table(2, 5) == [[1, 1, 1, 1], [4, 5, 6, 7]]
     with pytest.raises(ValueError):

@@ -85,6 +85,11 @@ def test_nat_from_factors():
         nat_from_factors({4: 1})
 
 
+def test_nat_from_factors_rejects_negative_exponents():
+    with pytest.raises(ParseError, match="negative exponent for 2"):
+        nat_from_factors({2: -1})
+
+
 def test_gcd_lcm_against_euclid():
     rng = random.Random(20260818)
     for _ in range(1000):
